@@ -108,6 +108,15 @@ func BenchmarkEngineCasOffinderCPU(b *testing.B)     { engineBench(b, core.Engin
 func BenchmarkEngineCasOT(b *testing.B)              { engineBench(b, core.EngineCasOT, 20, 3) }
 func BenchmarkEngineCasOTIndex(b *testing.B)         { engineBench(b, core.EngineCasOTIndex, 20, 2) }
 
+// The guide-count ends of the flagship kernel: at 10 guides the PAM pass
+// dominates, at 1000 the per-hit guide filter does.
+func BenchmarkEngineHyperscanPrefilterG10(b *testing.B) {
+	engineBench(b, core.EngineHyperscan, 10, 3)
+}
+func BenchmarkEngineHyperscanPrefilterG1000(b *testing.B) {
+	engineBench(b, core.EngineHyperscan, 1000, 3)
+}
+
 // BenchmarkNFASimulation measures the shared bitset simulator (the
 // functional path of the AP/FPGA models) on a 5-guide network.
 func BenchmarkNFASimulation(b *testing.B) {

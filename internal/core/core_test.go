@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/cap-repro/crisprscan/internal/dna"
@@ -127,6 +128,23 @@ func TestSearchParamErrors(t *testing.T) {
 	}
 	if _, err := Search(g, guides, Params{Engine: "warp-drive"}); err == nil {
 		t.Error("unknown engine must error")
+	}
+}
+
+// TestBitapBudgetAboveKernelLimitRejected pins the compile-time limit of
+// the bitap engine: a budget its register rows cannot hold must be a
+// compile error from Search, never a worker panic mid-scan.
+func TestBitapBudgetAboveKernelLimitRejected(t *testing.T) {
+	g, guides, _ := plantedFixture(t, 206, 2, 5000, genome.PlantPlan{})
+	_, err := Search(g, guides, Params{MaxMismatches: 8, Engine: EngineHyperscanBitap, Workers: 1})
+	if err == nil {
+		t.Fatal("hyperscan-bitap at k=8 must be rejected")
+	}
+	if !strings.Contains(err.Error(), "bitap mode supports mismatch budgets up to 7") {
+		t.Fatalf("want a compile error naming the limit, got: %v", err)
+	}
+	if _, err := Search(g, guides, Params{MaxMismatches: 7, Engine: EngineHyperscanBitap, Workers: 1}); err != nil {
+		t.Fatalf("k=7 is within the bitap limit: %v", err)
 	}
 }
 

@@ -54,11 +54,7 @@ func (p *Packed) Ambiguous(i int) bool {
 // word (base j of the window in bits 2j), plus a 32-bit ambiguity mask.
 // Callers must ensure pos+width <= Len() and width <= 32.
 func (p *Packed) Window(pos, width int) (codes uint64, amb uint32) {
-	w, off := pos/32, uint(pos%32)
-	codes = p.words[w] >> (2 * off)
-	if off != 0 && w+1 < len(p.words) {
-		codes |= p.words[w+1] << (2 * (32 - off))
-	}
+	codes = p.Lanes(pos)
 	if width < 32 {
 		codes &= (1 << uint(2*width)) - 1
 	}
@@ -71,11 +67,41 @@ func (p *Packed) Window(pos, width int) (codes uint64, amb uint32) {
 	return codes, amb
 }
 
+// Lanes returns the 32 bases starting at pos as one word (base j in bits
+// 2j), reading only the code plane: ambiguous bases read as A and
+// positions past Len read as A, so callers recheck what they accept.
+// pos must be < Len().
+func (p *Packed) Lanes(pos int) uint64 {
+	w, off := pos/32, uint(pos%32)
+	codes := p.words[w] >> (2 * off)
+	if off != 0 && w+1 < len(p.words) {
+		codes |= p.words[w+1] << (2 * (32 - off))
+	}
+	return codes
+}
+
+// laneLo has the low bit of every 2-bit lane set; multiplying it by a
+// base code broadcasts that base into all 32 lanes.
+const laneLo = 0x5555555555555555
+
 // diffLanes spreads the "these 2-bit lanes differ" property of x into one
 // bit per lane (bit 2j of the result set iff lanes j differ in x).
 func diffLanes(x uint64) uint64 {
-	const lo = 0x5555555555555555
-	return (x | x>>1) & lo
+	return (x | x>>1) & laneLo
+}
+
+// MatchLanes tests all 32 lanes of codes (as returned by Lanes) against
+// the IUPAC set m at once: bit 2j of the result is set iff lane j holds
+// a base in m. Odd bits are always clear, so set lanes can be walked
+// with bits.TrailingZeros64 (lane j = index/2).
+func MatchLanes(codes uint64, m Mask) uint64 {
+	var hit uint64
+	for b := A; b <= T; b++ {
+		if m.Has(b) {
+			hit |= diffLanes(codes^laneLo*uint64(b)) ^ laneLo
+		}
+	}
+	return hit
 }
 
 // MismatchCount compares width bases of the packed genome at pos against

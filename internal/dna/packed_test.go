@@ -142,3 +142,31 @@ func TestKmerConsistencyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMatchLanesAgainstBytes checks the word-parallel IUPAC test against
+// a per-base Has for every mask, at every offset (including windows that
+// run past the end, whose lanes read as A), with ambiguous bases reading
+// as A in the code plane.
+func TestMatchLanesAgainstBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := randomSeq(rng, 150, 0.05)
+	p := Pack(s)
+	for pos := 0; pos < len(s); pos++ {
+		codes := p.Lanes(pos)
+		for m := Mask(0); m <= MaskAny; m++ {
+			got := MatchLanes(codes, m)
+			if got&^laneLo != 0 {
+				t.Fatalf("pos %d mask %v: odd bits set in %#x", pos, m, got)
+			}
+			for j := 0; j < 32; j++ {
+				b := A // ambiguous and past-the-end bases read as A
+				if pos+j < len(s) && s[pos+j] != BadBase {
+					b = s[pos+j]
+				}
+				if want := m.Has(b); (got>>uint(2*j)&1 == 1) != want {
+					t.Fatalf("pos %d lane %d mask %v: got %v, want %v", pos, j, m, !want, want)
+				}
+			}
+		}
+	}
+}

@@ -41,13 +41,18 @@ const (
 	ModeLazyDFA
 	// ModePrefilter mirrors HyperScan's hybrid architecture: a shared
 	// literal prefilter (the PAM, the one literal every pattern
-	// contains) scans the input once, and each candidate anchor is
-	// confirmed by evaluating the pattern's anchored mismatch automaton
+	// contains) finds candidate anchors, and each candidate is confirmed
+	// by evaluating the pattern's anchored mismatch automaton
 	// bit-parallel (packed XOR/popcount, which computes exactly the
 	// lattice automaton's accept condition at that alignment). This is
 	// the fastest mode and the one the benchmark harness labels
-	// "hyperscan": its cost is one shared pass plus work proportional
-	// to candidates, not patterns x genome.
+	// "hyperscan". Both stages share work across patterns: the PAM test
+	// runs 32 anchors per word over the packed genome, and at each PAM
+	// hit a pigeonhole fragment table picks the few guides that can
+	// match, so cost is one genome pass plus work proportional to PAM
+	// hits x candidate guides rather than PAM hits x all guides. Groups
+	// whose budget leaves no useful fragment geometry compare every
+	// guide at every PAM hit.
 	ModePrefilter
 )
 
@@ -69,6 +74,11 @@ func (m Mode) String() string {
 
 // PatternSpec aliases the engine-independent pattern description.
 type PatternSpec = arch.PatternSpec
+
+// maxBitapK is the largest mismatch budget ModeBitap compiles: its
+// kernels keep one register row per mismatch count in a fixed
+// [maxBitapK+1]uint64 array.
+const maxBitapK = 7
 
 // compiled is the bitap form of one pattern.
 type compiled struct {
@@ -97,11 +107,8 @@ type Engine struct {
 	dfas []*dfa.DFA
 	lazy *dfa.Lazy
 
-	// Prefilter path state: one group per (PAM, orientation). preNPats
-	// caches each group's pattern count as int64 for the per-chunk
-	// verification accounting (hoisted out of the scan kernel).
+	// Prefilter path state: one group per (PAM, orientation).
 	preGroups []prefilterGroup
-	preNPats  []int64
 	preSite   int
 
 	// Packed bitap state (two patterns per word), built when ModeBitap
@@ -135,6 +142,9 @@ func New(specs []PatternSpec, mode Mode) (*Engine, error) {
 		}
 		if spec.K < 0 || spec.K > len(spec.Spacer) {
 			return nil, fmt.Errorf("hscan: pattern %d mismatch budget %d out of range", i, spec.K)
+		}
+		if mode == ModeBitap && spec.K > maxBitapK {
+			return nil, fmt.Errorf("hscan: bitap mode supports mismatch budgets up to %d, pattern %d has %d", maxBitapK, i, spec.K)
 		}
 		var c compiled
 		c.k = spec.K
@@ -347,7 +357,7 @@ func (e *Engine) scanRange(seq dna.Seq, base int, emit func(automata.Report)) er
 //
 //crisprlint:hotpath
 func (e *Engine) scanBitap(seq dna.Seq, base int, emit func(automata.Report)) {
-	var rows [8]uint64 // k <= 7 fits every realistic budget
+	var rows [maxBitapK + 1]uint64
 	for pi := range e.pats {
 		p := &e.pats[pi]
 		k := p.k

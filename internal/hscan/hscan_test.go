@@ -3,6 +3,7 @@ package hscan
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/cap-repro/crisprscan/internal/automata"
@@ -199,6 +200,28 @@ func TestNewErrors(t *testing.T) {
 	}
 	if _, err := New(randSpecs(rand.New(rand.NewSource(1)), 1, 6, 1), Mode(42)); err == nil {
 		t.Error("unknown mode must error")
+	}
+}
+
+// TestBitapRejectsBudgetAboveRows checks that ModeBitap refuses budgets
+// its fixed register rows cannot hold, at compile time, in both the
+// scalar and the packed-pair kernel shapes; other modes accept them.
+func TestBitapRejectsBudgetAboveRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, n := range []int{1, 2} { // one pattern: scalar kernel; two: packed pairs
+		specs := randSpecs(rng, n, 20, maxBitapK+1)
+		if _, err := New(specs, ModeBitap); err == nil || !strings.Contains(err.Error(), "bitap mode supports mismatch budgets up to 7") {
+			t.Fatalf("%d patterns at k=%d: want the bitap budget error, got %v", n, maxBitapK+1, err)
+		}
+		specs = randSpecs(rng, n, 20, maxBitapK)
+		e, err := New(specs, ModeBitap)
+		if err != nil {
+			t.Fatalf("k=%d must compile: %v", maxBitapK, err)
+		}
+		collect(t, e, chromOf(rng, 5000, 0))
+	}
+	if _, err := New(randSpecs(rng, 2, 20, 12), ModePrefilter); err != nil {
+		t.Fatalf("prefilter mode has no row limit: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
+	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // bothStrandSpecs builds plus+minus specs for random guides, the shape
@@ -214,4 +215,110 @@ func oracleGeneric(specs []PatternSpec, seq dna.Seq) []automata.Report {
 		}
 	}
 	return out
+}
+
+// TestPrefilterCounterInvariants pins the counter invariants documented
+// on metrics.CounterVerifications for the prefilter kernel, on a
+// filtered configuration (the Cas9 shape: 20 nt, k=3), an all-fallback
+// one (k=12 leaves 1-base fragments) and a mixed engine, and checks that
+// the guide filter keeps the compares per PAM hit small.
+func TestPrefilterCounterInvariants(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		k, altK           int  // budgets of the NGG and the NAG patterns
+		filtered, altFilt bool // whether the NGG / NAG groups get a guide filter
+		maxPerHitRatio    float64
+	}{
+		{name: "filtered", k: 3, altK: 3, filtered: true, altFilt: true, maxPerHitRatio: 10},
+		{name: "fallback", k: 12, altK: 12},
+		{name: "mixed", k: 2, altK: 15, filtered: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(127))
+			var specs []PatternSpec
+			for i := 0; i < 300; i++ {
+				spacer := make(dna.Seq, 20)
+				for j := range spacer {
+					spacer[j] = dna.Base(rng.Intn(4))
+				}
+				pam, k := dna.MustParsePattern("NGG"), tc.k
+				if i%2 == 1 {
+					pam, k = dna.MustParsePattern("NAG"), tc.altK
+				}
+				plus := arch.PatternSpec{Spacer: dna.PatternFromSeq(spacer), PAM: pam, K: k, Code: int32(2 * i)}
+				specs = append(specs, plus, plus.MinusSpec(int32(2*i+1)))
+			}
+			c := chromOf(rng, 40000, 0.002)
+			want, groupHits := referenceScan(specs, c.Seq)
+			e, err := New(specs, ModePrefilter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Groups in first-appearance order: NGG plus, NGG minus, NAG
+			// plus, NAG minus.
+			for gi := range e.preGroups {
+				want := tc.filtered
+				if gi >= 2 {
+					want = tc.altFilt
+				}
+				if got := e.preGroups[gi].keyMask != 0; got != want {
+					t.Fatalf("group %d filtered = %v, want %v", gi, got, want)
+				}
+			}
+			rec := metrics.NewRecorder()
+			e.SetMetrics(rec)
+			var got []automata.Report
+			if err := e.ScanChrom(c, func(r automata.Report) { got = append(got, r) }); err != nil {
+				t.Fatal(err)
+			}
+			sameStream(t, tc.name, got, want)
+			checkCounterInvariants(t, e, rec, groupHits, int64(len(got)))
+			if tc.maxPerHitRatio > 0 {
+				hits := rec.CounterValue(metrics.CounterPrefilterHits)
+				verifs := rec.CounterValue(metrics.CounterVerifications)
+				if hits == 0 || float64(verifs)/float64(hits) > tc.maxPerHitRatio {
+					t.Fatalf("%d compares over %d PAM hits: the guide filter is not narrowing", verifs, hits)
+				}
+			}
+		})
+	}
+}
+
+// TestPrefilterHitReportsInGuideOrder pins the within-hit report order
+// when the guide filter finds guides out of index order: guide 1 differs
+// from guide 0 only in fragment 0, and the planted site carries guide 1,
+// so guide 1 is listed under fragment 0 while guide 0 is first listed
+// under fragment 1. Reports must still come out as guide 0, guide 1.
+func TestPrefilterHitReportsInGuideOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(128))
+	g0 := make(dna.Seq, 20)
+	for j := range g0 {
+		g0[j] = dna.Base(rng.Intn(4))
+	}
+	g1 := append(dna.Seq(nil), g0...)
+	g1[0] = (g1[0] + 1) % 4
+	pam := dna.MustParsePattern("NGG")
+	specs := []PatternSpec{
+		{Spacer: dna.PatternFromSeq(g0), PAM: pam, K: 1, Code: 0},
+		{Spacer: dna.PatternFromSeq(g1), PAM: pam, K: 1, Code: 1},
+	}
+	c := chromOf(rng, 400, 0)
+	copy(c.Seq[200:], append(append(dna.Seq(nil), g1...), dna.A, dna.G, dna.G))
+	c.Packed = dna.Pack(c.Seq)
+	e, err := New(specs, ModePrefilter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.preGroups[0].keyMask == 0 {
+		t.Fatal("20 nt at k=1 must get a guide filter")
+	}
+	var got []automata.Report
+	if err := e.ScanChrom(c, func(r automata.Report) { got = append(got, r) }); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := referenceScan(specs, c.Seq)
+	if len(want) < 2 {
+		t.Fatal("weak fixture: the planted site must report both guides")
+	}
+	sameStream(t, "guide order", got, want)
 }

@@ -91,11 +91,22 @@ const (
 	CounterCandidateWindows
 	// CounterPrefilterHits counts candidate windows that survived the
 	// cheap first stage (PAM literal filter); zero for engines without a
-	// staged prefilter.
+	// staged prefilter. In the hyperscan prefilter kernel a hit is one
+	// (anchor, PAM group) pair whose PAM matches and whose site holds no
+	// ambiguous base: exactly the windows that reach the guide stage.
 	CounterPrefilterHits
 	// CounterVerifications counts full pattern evaluations performed on
 	// surviving candidates (packed XOR/popcount confirms, byte-wise
-	// mismatch counts).
+	// mismatch counts): the compares actually run, not an upper bound.
+	//
+	// Invariants of the hyperscan prefilter kernel, tested in
+	// internal/hscan:
+	//   - verifications <= prefilter_hits x patterns-in-group, summed
+	//     over PAM groups (the guide filter compares each guide at most
+	//     once per hit, and only the guides its fragment tables list);
+	//   - equality holds when every group falls back to the all-guides
+	//     compare;
+	//   - reports <= verifications (every report comes from a compare).
 	CounterVerifications
 	// CounterSitesEmitted counts verified, deduplicated sites delivered
 	// to the caller.

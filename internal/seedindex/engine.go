@@ -11,6 +11,7 @@ import (
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/genome"
 	"github.com/cap-repro/crisprscan/internal/metrics"
+	"github.com/cap-repro/crisprscan/internal/pigeonhole"
 )
 
 // DefaultMaxFragmentVariants caps the Hamming-ball enumeration per seed
@@ -122,22 +123,22 @@ func New(specs []arch.PatternSpec, idx *Index, opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// compilePlan splits a spec's spacer into J = floor(L/S) disjoint
-// fragments at offsets floor(j*L/J) and enumerates each fragment's
-// Hamming ball at radius floor(K/J). The pigeonhole argument in the
-// package comment guarantees any window within the total budget matches
-// at least one fragment within its radius.
+// compilePlan cuts a spec's spacer into J = floor(L/S) disjoint
+// fragments of S = seedLen bases (pigeonhole.New) and enumerates each
+// fragment's Hamming ball at radius floor(K/J). The pigeonhole
+// guarantee (package pigeonhole) means any window within the total
+// budget matches at least one fragment within its radius.
 func compilePlan(spec *arch.PatternSpec, seedLen, variantCap int) specPlan {
 	l := len(spec.Spacer)
-	j := l / seedLen
-	if j == 0 {
+	geo, ok := pigeonhole.New(l, l/seedLen, seedLen)
+	if !ok {
 		return specPlan{fallback: true}
 	}
-	r := spec.K / j
+	r := geo.Radius(spec.K)
 	spacerOff := spec.SpacerOffset()
-	frags := make([]fragPlan, 0, j)
-	for f := 0; f < j; f++ {
-		start := f * l / j
+	frags := make([]fragPlan, 0, geo.J)
+	for f := 0; f < geo.J; f++ {
+		start := geo.Offset(f)
 		variants, ok := enumerateFragment(spec.Spacer[start:start+seedLen], r, variantCap)
 		if !ok {
 			return specPlan{fallback: true}

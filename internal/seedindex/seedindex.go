@@ -17,13 +17,13 @@
 //
 // Pigeonhole guarantee: a spacer of length L is covered by J =
 // floor(L/S) disjoint fragments of S bases each, and every fragment is
-// probed within Hamming radius r = floor(K/J). If a window had more than
-// r mismatches in every fragment, its total would be at least
-// J*(r+1) = J*floor(K/J) + J >= K + 1, exceeding the budget — so every
-// reportable window is found through at least one fragment. Fragments
-// that would enumerate more than the variant cap (deeply degenerate
-// guides, or spacers shorter than one seed) fall back to a linear
-// verify of every position for that pattern, preserving exactness.
+// probed within Hamming radius r = floor(K/J), so every reportable
+// window is found through at least one fragment (the geometry and its
+// proof live in package pigeonhole, shared with the hyperscan
+// prefilter kernel). Fragments that would enumerate more than the
+// variant cap (deeply degenerate guides, or spacers shorter than one
+// seed) fall back to a linear verify of every position for that
+// pattern, preserving exactness.
 package seedindex
 
 import (
