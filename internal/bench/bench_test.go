@@ -2,9 +2,46 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateModeled = flag.Bool("update", false, "rewrite testdata/modeled_tables.golden")
+
+// modeledGolden names the experiments whose whole rendered table is
+// analytic (pinned byte for byte) and those where only the "(modeled)"
+// rows are: their other rows are wall-clock measurements.
+var (
+	modeledWhole = map[string]bool{"1": true, "6": true, "7": true, "8": true, "9": true, "10": true, "14": true}
+	modeledRows  = map[string]bool{"2": true, "3": true, "5": true}
+)
+
+// modeledPart renders the deterministic part of an experiment table,
+// or nothing for experiments with no modeled content.
+func modeledPart(t *testing.T, id string, tab *Table) []byte {
+	t.Helper()
+	if !modeledWhole[id] && !modeledRows[id] {
+		return nil
+	}
+	if modeledRows[id] {
+		kept := *tab
+		kept.Rows = nil
+		for _, row := range tab.Rows {
+			if strings.Contains(row[0], "modeled)") {
+				kept.Rows = append(kept.Rows, row)
+			}
+		}
+		tab = &kept
+	}
+	var buf bytes.Buffer
+	if err := tab.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // microScale keeps harness tests fast.
 var microScale = Scale{
@@ -74,7 +111,11 @@ func TestSliceWorkload(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentRuns runs the whole series at microScale and pins
+// its analytic output against testdata/modeled_tables.golden (refresh
+// with go test ./internal/bench -run TestEveryExperimentRuns -update).
 func TestEveryExperimentRuns(t *testing.T) {
+	parts := make(map[string][]byte)
 	for _, id := range Order {
 		t.Run("E"+id, func(t *testing.T) {
 			tab, err := Experiments[id](microScale)
@@ -96,7 +137,26 @@ func TestEveryExperimentRuns(t *testing.T) {
 			if !strings.Contains(buf.String(), "== E"+id) {
 				t.Error("render missing banner")
 			}
+			parts[id] = modeledPart(t, id, tab)
 		})
+	}
+	var got []byte
+	for _, id := range Order {
+		got = append(got, parts[id]...)
+	}
+	path := filepath.Join("testdata", "modeled_tables.golden")
+	if *updateModeled {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("modeled E-tables drifted from %s:\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
 
