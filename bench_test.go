@@ -117,11 +117,11 @@ func BenchmarkEngineHyperscanPrefilterG1000(b *testing.B) {
 	engineBench(b, core.EngineHyperscan, 1000, 3)
 }
 
-// BenchmarkNFASimulation measures the shared bitset simulator (the
-// functional path of the AP/FPGA models) on a 5-guide network.
+// BenchmarkNFASimulation measures the shared NFA kernel (the functional
+// path of the AP, FPGA and iNFAnt2 models) on a 5-guide network.
 func BenchmarkNFASimulation(b *testing.B) {
 	w := bench.NewWorkload(200_000, 5, 3, 101)
-	e, err := hscan.New(w.Specs(), hscan.ModeNFA)
+	e, err := core.NewEngine(core.EngineHyperscanNFA, w.Specs(), core.Params{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Command anmlview compiles guides into their off-target search
 // automata and dumps statistics, ANML (the Automata Processor's network
 // markup language), or MNRL-style JSON — the artifacts one would hand to
-// AP/FPGA automata toolchains.
+// AP/FPGA automata toolchains. The network is the one the AP and FPGA
+// models place (arch.CompileNetwork), so its state count is theirs.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/cap-repro/crisprscan/internal/anml"
@@ -24,36 +26,51 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one anmlview invocation and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("anmlview", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		guide   = flag.String("guide", "", "guide spacer (required)")
-		k       = flag.Int("k", 3, "mismatch budget")
-		bulge   = flag.Int("bulge", 0, "bulge budget (edit automaton)")
-		pamStr  = flag.String("pam", "NGG", "PAM pattern")
-		both    = flag.Bool("both-strands", true, "compile both strands")
-		merge   = flag.Bool("merge", false, "apply prefix/suffix state merging")
-		stride2 = flag.Bool("stride2", false, "apply the 2-striding transform")
-		format  = flag.String("format", "stats", "output: stats, anml, json, dot")
+		guide   = fs.String("guide", "", "guide spacer (required)")
+		k       = fs.Int("k", 3, "mismatch budget")
+		bulge   = fs.Int("bulge", 0, "bulge budget (edit automaton)")
+		pamStr  = fs.String("pam", "NGG", "PAM pattern")
+		both    = fs.Bool("both-strands", true, "compile both strands")
+		merge   = fs.Bool("merge", false, "apply prefix/suffix state merging")
+		stride2 = fs.Bool("stride2", false, "apply the 2-striding transform")
+		format  = fs.String("format", "stats", "output: stats, anml, json, dot")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "anmlview: "+format+"\n", args...)
+		return 1
+	}
 	if *guide == "" {
-		fail("missing -guide")
+		return fail("missing -guide")
 	}
 	spacer, err := dna.ParsePattern(*guide)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	pam, err := dna.ParsePattern(*pamStr)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 
-	var n *automata.NFA
-	if *bulge > 0 {
-		n, err = automata.CompileEdit(spacer, automata.EditOptions{
+	build := func(opt arch.NetworkOptions) (*automata.NFA, error) {
+		if *bulge == 0 {
+			return arch.CompileNetwork(core.BuildSpecs([]dna.Pattern{spacer}, pam, *k, !*both), opt)
+		}
+		n, err := automata.CompileEdit(spacer, automata.EditOptions{
 			MaxMismatches: *k, MaxBulge: *bulge, PAM: pam, Code: 0,
 		})
 		if err != nil {
-			fail("%v", err)
+			return nil, err
 		}
 		if *both {
 			minus, err := automata.CompileEdit(spacer.ReverseComplement(), automata.EditOptions{
@@ -61,78 +78,57 @@ func main() {
 				PAMLeft: true, Code: report.CodeFor(0, '-'),
 			})
 			if err != nil {
-				fail("%v", err)
+				return nil, err
 			}
 			if err := n.Union(minus); err != nil {
-				fail("%v", err)
+				return nil, err
 			}
 		}
-	} else {
-		specs := core.BuildSpecs([]dna.Pattern{spacer}, pam, *k, !*both)
-		var parts []*automata.NFA
-		for _, spec := range specs {
-			part, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
-				MaxMismatches: spec.K, PAM: spec.PAM, PAMLeft: spec.PAMLeft, Code: spec.Code,
-			})
-			if err != nil {
-				fail("%v", err)
-			}
-			parts = append(parts, part)
-		}
-		n, err = automata.UnionAll("anmlview", parts)
-		if err != nil {
-			fail("%v", err)
-		}
+		return arch.TransformNetwork(n, opt)
 	}
-	_ = arch.PatternSpec{} // keep the arch import for spec types above
-
+	opt := arch.NetworkOptions{Merge: *merge, Stride2: *stride2}
+	n, err := build(opt)
+	if err != nil {
+		return fail("%v", err)
+	}
 	if *merge {
-		var saved int
-		n, saved = automata.MergeEquivalent(n)
-		fmt.Fprintf(os.Stderr, "anmlview: merging removed %d states\n", saved)
-	}
-	if *stride2 {
-		s2, err := automata.Multistride2(n)
+		plain, err := build(arch.NetworkOptions{Stride2: *stride2})
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
-		n = s2
+		fmt.Fprintf(stderr, "anmlview: merging removed %d states\n", plain.NumStates()-n.NumStates())
 	}
 
 	switch *format {
 	case "stats":
 		st := n.ComputeStats()
-		fmt.Printf("label:         %s\n", n.Label)
-		fmt.Printf("alphabet:      %d\n", n.Alphabet)
-		fmt.Printf("states (STEs): %d\n", st.States)
-		fmt.Printf("edges:         %d\n", st.Edges)
-		fmt.Printf("start states:  %d\n", st.StartStates)
-		fmt.Printf("report states: %d\n", st.ReportStates)
-		fmt.Printf("max fan-in:    %d\n", st.MaxFanIn)
-		fmt.Printf("max fan-out:   %d\n", st.MaxFanOut)
-		fmt.Printf("avg class:     %.2f\n", st.AvgClassSize)
+		fmt.Fprintf(stdout, "label:         %s\n", n.Label)
+		fmt.Fprintf(stdout, "alphabet:      %d\n", n.Alphabet)
+		fmt.Fprintf(stdout, "states (STEs): %d\n", st.States)
+		fmt.Fprintf(stdout, "edges:         %d\n", st.Edges)
+		fmt.Fprintf(stdout, "start states:  %d\n", st.StartStates)
+		fmt.Fprintf(stdout, "report states: %d\n", st.ReportStates)
+		fmt.Fprintf(stdout, "max fan-in:    %d\n", st.MaxFanIn)
+		fmt.Fprintf(stdout, "max fan-out:   %d\n", st.MaxFanOut)
+		fmt.Fprintf(stdout, "avg class:     %.2f\n", st.AvgClassSize)
 	case "anml":
 		doc, err := anml.FromNFA(n, "offtarget")
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
-		if err := doc.Write(os.Stdout); err != nil {
-			fail("%v", err)
+		if err := doc.Write(stdout); err != nil {
+			return fail("%v", err)
 		}
 	case "json":
-		if err := anml.WriteJSON(os.Stdout, anml.ToJSON(n, "offtarget")); err != nil {
-			fail("%v", err)
+		if err := anml.WriteJSON(stdout, anml.ToJSON(n, "offtarget")); err != nil {
+			return fail("%v", err)
 		}
 	case "dot":
-		if err := n.WriteDot(os.Stdout, "offtarget"); err != nil {
-			fail("%v", err)
+		if err := n.WriteDot(stdout, "offtarget"); err != nil {
+			return fail("%v", err)
 		}
 	default:
-		fail("unknown format %q", *format)
+		return fail("unknown format %q", *format)
 	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "anmlview: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

@@ -51,7 +51,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -82,7 +81,6 @@ type config struct {
 	ckptPath   string
 	timeout    time.Duration
 	tracePath  string
-	pprofAddr  string
 	httpAddr   string
 	httpLinger time.Duration
 	logFormat  string
@@ -103,28 +101,6 @@ type config struct {
 	log     *slog.Logger      // defaults to slog.Default()
 	onAdmin func(addr string) // test hook: observes the bound -http address
 	reg     *scanRegistry     // test hook: shared registry; run creates one if nil
-}
-
-// pprofAliasOnce dedupes the -pprof deprecation warning: run is
-// re-entrant (tests, library embedding) and the nag is per process, not
-// per scan.
-var pprofAliasOnce sync.Once
-
-// applyPprofAlias resolves the deprecated -pprof flag. Any use of
-// -pprof draws a one-time warning pointing at -http; the alias only
-// supplies the address when -http was not given explicitly (-http
-// wins).
-func applyPprofAlias(cfg *config, logger *slog.Logger) {
-	if cfg.pprofAddr == "" {
-		return
-	}
-	pprofAliasOnce.Do(func() {
-		logger.Warn("-pprof is deprecated and will be removed; use -http (the admin endpoint includes /debug/pprof)",
-			"pprof", cfg.pprofAddr)
-	})
-	if cfg.httpAddr == "" {
-		cfg.httpAddr = cfg.pprofAddr
-	}
 }
 
 func (c *config) logger() *slog.Logger {
@@ -177,7 +153,6 @@ func main() {
 	flag.StringVar(&cfg.ckptPath, "checkpoint", "", "checkpoint journal path (with -stream: resume by skipping completed chromosomes)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "abort the search after this duration (e.g. 30m; 0 = no limit)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write a Chrome trace-event timeline of the scan to this file (view in chrome://tracing or Perfetto); with -serve, the file name for each job's per-job trace inside its spool directory")
-	flag.StringVar(&cfg.pprofAddr, "pprof", "", "deprecated alias for -http")
 	flag.StringVar(&cfg.httpAddr, "http", "", "serve the admin endpoint (/metrics, /healthz, /readyz, /debug/scans, /debug/pprof) on this address (e.g. localhost:6060)")
 	flag.DurationVar(&cfg.httpLinger, "http-linger", 0, "keep the -http endpoint up this long after the scan completes")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log output format: text or json")
@@ -237,7 +212,6 @@ func run(ctx context.Context, cfg *config) (err error) {
 	// The admin endpoint binds before any work starts, so a bad -http
 	// fails fast and never truncates -o. It outlives the scan by
 	// -http-linger (see the scan-completion defer below).
-	applyPprofAlias(cfg, logger)
 	var adm *adminServer
 	if cfg.httpAddr != "" {
 		if cfg.reg == nil {
@@ -455,19 +429,25 @@ func run(ctx context.Context, cfg *config) (err error) {
 	if cfg.stats {
 		logger.Info("scan complete",
 			"sites", len(res.Sites), "events", res.Stats.Events, "elapsed_sec", res.Stats.ElapsedSec)
-		if res.Stats.Metrics != nil {
-			logger.Info("scan metrics", "metrics", res.Stats.Metrics.String())
-		}
-		if res.Stats.Modeled != nil {
-			logger.Info("modeled device time", "modeled", res.Stats.Modeled.String())
-		}
-		if res.Stats.Resources != nil {
-			r := res.Stats.Resources
-			logger.Info("device resources",
-				"states", r.States, "passes", r.Passes, "utilization", r.Utilization())
-		}
+		logStats(logger, &res.Stats)
 	}
 	return nil
+}
+
+// logStats logs the -stats detail lines both scan modes share: the
+// metrics snapshot and, for modeled platforms, device time and
+// resources.
+func logStats(logger *slog.Logger, st *crisprscan.Stats) {
+	if st.Metrics != nil {
+		logger.Info("scan metrics", "metrics", st.Metrics.String())
+	}
+	if st.Modeled != nil {
+		logger.Info("modeled device time", "modeled", st.Modeled.String())
+	}
+	if r := st.Resources; r != nil {
+		logger.Info("device resources",
+			"states", r.States, "passes", r.Passes, "utilization", r.Utilization())
+	}
 }
 
 // runStream executes the constant-memory streaming mode: rows are
@@ -532,9 +512,7 @@ func runStream(ctx context.Context, cfg *config, guides []crisprscan.Guide, para
 	if cfg.stats && st != nil {
 		logger.Info("scan complete",
 			"sites", count, "events", st.Events, "elapsed_sec", st.ElapsedSec, "streamed", true)
-		if st.Metrics != nil {
-			logger.Info("scan metrics", "metrics", st.Metrics.String())
-		}
+		logStats(logger, st)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,4 +218,26 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestRunStatsLogsModeledTimeInBothModes pins that -stats reports the
+// modeled device time and device resources of a modeled platform in
+// streaming mode exactly as in batch mode.
+func TestRunStatsLogsModeledTimeInBothModes(t *testing.T) {
+	genomePath, guidesPath, _ := cliFixture(t, 809)
+	for _, stream := range []bool{false, true} {
+		var logs bytes.Buffer
+		cfg := &config{genomePath: genomePath, guidesPath: guidesPath, k: 2, pam: "NGG", workers: 1,
+			engineName: "ap", stats: true, stream: stream,
+			outPath: filepath.Join(t.TempDir(), "sites.tsv"),
+			log:     slog.New(slog.NewTextHandler(&logs, nil))}
+		if err := run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{`msg="modeled device time"`, `msg="device resources"`} {
+			if !strings.Contains(logs.String(), line) {
+				t.Errorf("stream=%v: -stats output lacks %s:\n%s", stream, line, logs.String())
+			}
+		}
+	}
 }

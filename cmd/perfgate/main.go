@@ -10,7 +10,6 @@
 //	perfgate                 print the current verdicts
 //	perfgate -update         regenerate the baseline (justifications preserved)
 //	perfgate -compare        gate against the baseline
-//	perfgate -migrate FILE   one-shot import of a legacy allocgate baseline
 //
 // Exit codes in -compare mode: 0 clean; 3 new escape; 4 new inlining
 // regression; 5 new bounds check; 6 baseline entry without a written
@@ -43,7 +42,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	baseline := fs.String("baseline", "", "baseline `file` (default <dir>/PERF_BASELINE.txt)")
 	update := fs.Bool("update", false, "regenerate the baseline, preserving justifications of surviving entries")
 	compare := fs.Bool("compare", false, "compare current verdicts against the baseline and gate")
-	migrate := fs.String("migrate", "", "one-shot: import the legacy allocgate baseline `file` into the perfgate baseline")
 	classFlag := fs.String("class", "", "comma-separated budget `classes` to report/gate (escape,inline,bounds); default all")
 	if err := fs.Parse(argv); err != nil {
 		return 1
@@ -58,8 +56,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	switch {
-	case *migrate != "":
-		return perfgate.Migrate(*dir, *baseline, *migrate, stdout, stderr)
 	case *update:
 		return perfgate.Update(*dir, *baseline, stdout, stderr)
 	case *compare:

@@ -6,8 +6,8 @@
 // map one state to one STE with no translation.
 //
 // Because the hardware no longer exists outside a few labs, this package
-// substitutes (per DESIGN.md) a functional simulator — the shared bitset
-// NFA engine, which implements exactly the AP's execution semantics —
+// substitutes (per DESIGN.md) the shared NFA kernel (arch.NFAEngine,
+// which implements exactly the AP's execution semantics) for the chip,
 // plus an analytic timing model driven by the device's published
 // constants: 133 MHz symbol clock (7.5 ns/symbol), 49,152 STEs per chip,
 // 32 chips per board. Kernel time on a real AP is deterministic
@@ -16,12 +16,7 @@
 package ap
 
 import (
-	"fmt"
-
 	"github.com/cap-repro/crisprscan/internal/arch"
-	"github.com/cap-repro/crisprscan/internal/automata"
-	"github.com/cap-repro/crisprscan/internal/genome"
-	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // Device holds the published AP hardware constants.
@@ -86,75 +81,40 @@ type Options struct {
 	Stride2 bool
 }
 
-// Model is a compiled workload on the AP, implementing arch.Modeled.
+// Model is a compiled workload on the AP, implementing arch.Modeled:
+// the shared NFA kernel executes the placed network, and the model adds
+// the device's placement and timing.
 type Model struct {
+	*arch.NFAEngine
 	opt     Options
-	nfa     *automata.NFA
-	baseNFA *automata.NFA // stride-1 form, for reference
 	res     arch.ResourceUsage
 	streams int
 	// symbolsPerBase is 1 for stride-1, 0.5 for stride-2.
 	symbolsPerBase float64
-
-	// rec receives scan metrics; the model records its analytic
-	// device-time steps (never wall clock — the model must stay
-	// deterministic, see the clockguard analyzer).
-	rec *metrics.Recorder
-}
-
-// SetMetrics implements arch.Instrumented. The one-time configuration
-// cost is recorded immediately as the modeled compile step.
-func (m *Model) SetMetrics(rec *metrics.Recorder) {
-	m.rec = rec
-	rec.SetModeledSeconds("compile", m.EstimateBreakdown(0, 0).Compile)
 }
 
 // Compile builds the automata network for the pattern specs and places
 // it onto the device.
 func Compile(specs []arch.PatternSpec, opt Options) (*Model, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("ap: no patterns")
-	}
 	if opt.Device.STEsPerChip == 0 {
 		opt.Device = D480Board
 	}
-	var parts []*automata.NFA
-	for _, spec := range specs {
-		n, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
-			MaxMismatches: spec.K, PAM: spec.PAM, PAMLeft: spec.PAMLeft, Code: spec.Code,
-		})
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, n)
+	name, symbolsPerBase := "ap", 1.0
+	if opt.Stride2 {
+		name, symbolsPerBase = "ap-stride2", 0.5
 	}
-	u, err := automata.UnionAll("ap", parts)
+	k, err := arch.NewNFAEngine(name, specs, arch.NetworkOptions{Merge: opt.MergeStates, Stride2: opt.Stride2})
 	if err != nil {
 		return nil, err
 	}
-	if opt.MergeStates {
-		u, _ = automata.MergeEquivalent(u)
-	}
-	m := &Model{opt: opt, baseNFA: u, symbolsPerBase: 1}
-	m.nfa = u
-	if opt.Stride2 {
-		s2, err := automata.Multistride2(u)
-		if err != nil {
-			return nil, err
-		}
-		if opt.MergeStates {
-			s2, _ = automata.MergeEquivalent(s2)
-		}
-		m.nfa = s2
-		m.symbolsPerBase = 0.5
-	}
+	m := &Model{NFAEngine: k, opt: opt, symbolsPerBase: symbolsPerBase}
 	m.place()
 	return m, nil
 }
 
 // place computes STE demand, passes and parallel streams.
 func (m *Model) place() {
-	stats := m.nfa.ComputeStats()
+	stats := m.NFA().ComputeStats()
 	m.res, m.streams = PlaceStates(stats.States, m.opt.Device)
 	m.res.ReportStates = stats.ReportStates
 }
@@ -192,54 +152,11 @@ func KernelSeconds(inputLen int, res arch.ResourceUsage, streams int, dev Device
 	return float64(inputLen) * float64(res.Passes) / (dev.SymbolsPerSec * float64(streams))
 }
 
-// Name implements arch.Engine.
-func (m *Model) Name() string {
-	if m.opt.Stride2 {
-		return "ap-stride2"
-	}
-	return "ap"
-}
-
 // Resources implements arch.Modeled.
 func (m *Model) Resources() arch.ResourceUsage { return m.res }
 
 // Streams reports the input-level parallelism achieved by replication.
 func (m *Model) Streams() int { return m.streams }
-
-// NFA exposes the placed automata network (for ANML export and stats).
-func (m *Model) NFA() *automata.NFA { return m.nfa }
-
-// ScanChrom implements arch.Engine: functional execution through the
-// bitset simulator, which is semantics-identical to STE evaluation.
-func (m *Model) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	sim := automata.NewSim(m.nfa)
-	in := automata.SymbolsOfSeq(c.Seq)
-	reports := 0
-	count := func(r automata.Report) {
-		reports++
-		emit(r)
-	}
-	if m.opt.Stride2 {
-		automata.ScanStride2(sim, in, count)
-	} else {
-		sim.Scan(in, count)
-	}
-	m.recordModeled(len(c.Seq), reports)
-	return nil
-}
-
-// recordModeled accumulates the analytic per-chromosome device-time
-// steps and event counts into the metrics recorder.
-func (m *Model) recordModeled(inputLen, reports int) {
-	if m.rec == nil {
-		return
-	}
-	m.rec.Add(metrics.CounterCandidateWindows, int64(inputLen))
-	b := m.EstimateBreakdown(inputLen, reports)
-	m.rec.AddModeledSeconds("transfer", b.Transfer)
-	m.rec.AddModeledSeconds("kernel", b.Kernel)
-	m.rec.AddModeledSeconds("report", b.Report)
-}
 
 // EstimateBreakdown implements arch.Modeled. The kernel streams
 // inputLen bases (x symbolsPerBase symbols) through the board passes

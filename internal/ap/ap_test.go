@@ -48,6 +48,8 @@ func collect(t *testing.T, e arch.Engine, c *genome.Chromosome) []automata.Repor
 	return out
 }
 
+// TestFunctionalAgreesWithHscan checks that the network the AP model
+// compiles (each Options combination) reports exactly what hscan reports.
 func TestFunctionalAgreesWithHscan(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	specs := randSpecs(rng, 4, 8, 2)

@@ -96,7 +96,7 @@ func (p *Placement) MaxLoad() int {
 // worse than the aggregate estimate. Returns the placement for
 // inspection.
 func (m *Model) PlaceNetwork() (*Placement, error) {
-	p, err := PlaceComponents(m.nfa, m.opt.Device)
+	p, err := PlaceComponents(m.NFA(), m.opt.Device)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func (m *Model) TraceScan(seq dna.Seq, window int) Trace {
 		window = 1024
 	}
 	in := automata.SymbolsOfSeq(seq)
-	sim := automata.NewSim(m.nfa)
+	sim := automata.NewSim(m.NFA())
 
 	// Active-state counts per cycle.
 	activity := sim.ActivityTrace(in)
@@ -55,7 +55,7 @@ func (m *Model) TraceScan(seq dna.Seq, window int) Trace {
 	// Report events per cycle (second pass; the simulator is cheap at
 	// trace scales).
 	perCycle := make([]int, len(in))
-	sim2 := automata.NewSim(m.nfa)
+	sim2 := automata.NewSim(m.NFA())
 	sim2.Scan(in, func(r automata.Report) {
 		tr.Reports++
 		if r.End >= 0 && r.End < len(perCycle) {

@@ -8,8 +8,8 @@
 // and are wall-clock measured; the three accelerator platforms (Micron
 // AP, FPGA, iNFAnt2 on GPU) are analytic models whose device constants
 // come from published specifications, executed functionally through the
-// shared automata simulator. Both kinds expose the same interfaces here
-// so the benchmark harness treats them uniformly.
+// one shared NFA kernel (NFAEngine, nfa.go). Both kinds expose the same
+// interfaces here so the benchmark harness treats them uniformly.
 package arch
 
 import (
@@ -120,8 +120,9 @@ func ScanChrom(ctx context.Context, e Engine, c *genome.Chromosome, emit func(au
 }
 
 // Instrumented is implemented by engines that report execution metrics
-// (counters, per-chunk latency, modeled device-time steps) into a
-// shared recorder. The orchestrator installs its recorder on every
+// (counters, per-chunk latency) into a shared recorder. Modeled device
+// time is not theirs to report: the orchestrator charges it from
+// Modeled.EstimateBreakdown. The orchestrator installs its recorder on every
 // engine that supports it before scanning starts.
 type Instrumented interface {
 	Engine

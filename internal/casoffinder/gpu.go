@@ -1,13 +1,8 @@
 package casoffinder
 
 import (
-	"context"
-
 	"github.com/cap-repro/crisprscan/internal/arch"
-	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
-	"github.com/cap-repro/crisprscan/internal/genome"
-	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // GPUParams describes the OpenCL device the paper ran Cas-OFFinder on.
@@ -43,9 +38,9 @@ var DefaultGPU = GPUParams{
 }
 
 // GPUModel wraps an Engine with the analytic device-timing model,
-// implementing arch.Modeled. Functional results come from the wrapped
-// engine (the algorithm is identical on CPU and GPU); timing comes from
-// the model.
+// implementing arch.Modeled. Scans, instrumentation and cancellation
+// are the wrapped engine's (the algorithm is identical on CPU and GPU);
+// the model only prices them, and the orchestrator charges that price.
 type GPUModel struct {
 	*Engine
 	Params GPUParams
@@ -62,42 +57,6 @@ func NewGPUModel(specs []arch.PatternSpec, params GPUParams) (*GPUModel, error) 
 
 // Name implements arch.Engine.
 func (m *GPUModel) Name() string { return "cas-offinder-gpu" }
-
-// SetMetrics implements arch.Instrumented: besides wiring the wrapped
-// functional engine's counters, it records the model's one-time launch
-// overhead as the analytic compile step.
-func (m *GPUModel) SetMetrics(rec *metrics.Recorder) {
-	m.Engine.SetMetrics(rec)
-	rec.SetModeledSeconds("compile", m.Params.LaunchOverheadSec)
-}
-
-// ScanChromContext runs the wrapped functional scan and then records
-// the analytic per-chromosome device-time steps (transfer, kernel,
-// report) into the metrics recorder — the model stays deterministic;
-// no wall clock is read.
-func (m *GPUModel) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
-	reports := 0
-	err := m.Engine.ScanChromContext(ctx, c, func(r automata.Report) {
-		reports++
-		emit(r)
-	})
-	if err != nil {
-		return err
-	}
-	if rec := m.Engine.rec; rec != nil {
-		b := m.EstimateBreakdown(len(c.Seq), reports)
-		rec.AddModeledSeconds("transfer", b.Transfer)
-		rec.AddModeledSeconds("kernel", b.Kernel)
-		rec.AddModeledSeconds("report", b.Report)
-	}
-	return nil
-}
-
-// ScanChrom implements arch.Engine via the context-aware path so the
-// modeled step recording is identical on both entry points.
-func (m *GPUModel) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	return m.ScanChromContext(context.Background(), c, emit)
-}
 
 // pamHitRate is the expected fraction of positions passing a group's
 // PAM test under a uniform base distribution, averaged across groups

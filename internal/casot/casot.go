@@ -110,7 +110,7 @@ func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) err
 		// One table per spec per chromosome. Hoisting this into the Engine
 		// was tried and measured ~10% slower (the fresh cache-hot table
 		// wins in the inner loop), so the allocation stays, amortized over
-		// the whole position loop; allocgate carries it in the baseline.
+		// the whole position loop; PERF_BASELINE.txt carries it.
 		inSeed := seedMembership(spacerLen, e.opt.SeedLen, spec.PAMLeft)
 		inSeed = inSeed[:spacerLen]
 		for p := 0; p+site <= len(seq); p++ {

@@ -194,13 +194,11 @@ func BuildSpecsOriented(guides []dna.Pattern, pam dna.Pattern, k int, plusOnly, 
 // NewEngine instantiates the requested engine for the spec set.
 func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine, error) {
 	switch kind {
-	case EngineHyperscan, EngineHyperscanBitap, EngineHyperscanNFA, EngineHyperscanDFA, EngineHyperscanLazy:
+	case EngineHyperscan, EngineHyperscanBitap, EngineHyperscanDFA, EngineHyperscanLazy:
 		mode := hscan.ModePrefilter
 		switch kind {
 		case EngineHyperscanBitap:
 			mode = hscan.ModeBitap
-		case EngineHyperscanNFA:
-			mode = hscan.ModeNFA
 		case EngineHyperscanDFA:
 			mode = hscan.ModeDFA
 		case EngineHyperscanLazy:
@@ -212,10 +210,22 @@ func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine
 		}
 		e.Parallelism = p.Workers
 		return e, nil
+	case EngineHyperscanNFA:
+		e, err := arch.NewNFAEngine(string(kind), specs, arch.NetworkOptions{Merge: true})
+		if err != nil {
+			return nil, err
+		}
+		e.Workers = p.Workers
+		return e, nil
 	case EngineCasOffinder:
 		return casoffinder.New(specs, p.Workers)
 	case EngineCasOffinderGPU:
-		return casoffinder.NewGPUModel(specs, casoffinder.DefaultGPU)
+		m, err := casoffinder.NewGPUModel(specs, casoffinder.DefaultGPU)
+		if err != nil {
+			return nil, err
+		}
+		m.Workers = p.Workers
+		return m, nil
 	case EngineCasOT, EngineCasOTIndex:
 		opt := casot.Options{SeedLen: p.SeedLen, MaxSeedMismatches: p.MaxSeedMismatches}
 		if opt.SeedLen == 0 {
@@ -238,11 +248,26 @@ func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine
 		e.Workers = p.Workers
 		return e, nil
 	case EngineAP:
-		return ap.Compile(specs, ap.Options{MergeStates: p.MergeStates, Stride2: p.Stride2})
+		m, err := ap.Compile(specs, ap.Options{MergeStates: p.MergeStates, Stride2: p.Stride2})
+		if err != nil {
+			return nil, err
+		}
+		m.Workers = p.Workers
+		return m, nil
 	case EngineFPGA:
-		return fpga.Compile(specs, fpga.Options{MergeStates: p.MergeStates, Stride2: p.Stride2})
+		m, err := fpga.Compile(specs, fpga.Options{MergeStates: p.MergeStates, Stride2: p.Stride2})
+		if err != nil {
+			return nil, err
+		}
+		m.Workers = p.Workers
+		return m, nil
 	case EngineInfant:
-		return infant.Compile(specs, infant.Options{MergeStates: p.MergeStates})
+		m, err := infant.Compile(specs, infant.Options{MergeStates: p.MergeStates})
+		if err != nil {
+			return nil, err
+		}
+		m.Workers = p.Workers
+		return m, nil
 	}
 	return nil, fmt.Errorf("core: unknown engine %q", kind)
 }
@@ -252,28 +277,36 @@ func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine
 // the orchestrator; production code must leave it nil.
 var engineHook func(arch.Engine) arch.Engine
 
-// prepare validates params and builds the engine and resolver shared by
-// Search and SearchStream.
-func prepare(guides []dna.Pattern, p *Params) (arch.Engine, *report.Resolver, error) {
+// prepared is what compile hands the scan drivers: the engine, the
+// event resolver and, for modeled platforms, the device-time charge.
+type prepared struct {
+	engine   arch.Engine
+	resolver *report.Resolver
+	charge   *modeledCharge
+}
+
+// prepare validates params and builds the engine, resolver and charge
+// shared by Search and SearchStream.
+func prepare(guides []dna.Pattern, p *Params) (*prepared, error) {
 	p.defaults()
 	if len(guides) == 0 {
-		return nil, nil, fmt.Errorf("core: no guides")
+		return nil, fmt.Errorf("core: no guides")
 	}
 	pam, err := dna.ParsePattern(p.PAM)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if p.MaxMismatches < 0 || p.MaxMismatches > len(guides[0]) {
-		return nil, nil, fmt.Errorf("core: mismatch budget %d out of range", p.MaxMismatches)
+		return nil, fmt.Errorf("core: mismatch budget %d out of range", p.MaxMismatches)
 	}
 	pams := []dna.Pattern{pam}
 	for _, alt := range p.AltPAMs {
 		ap, err := dna.ParsePattern(alt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if len(ap) != len(pam) {
-			return nil, nil, fmt.Errorf("core: alternative PAM %s length differs from %s", alt, p.PAM)
+			return nil, fmt.Errorf("core: alternative PAM %s length differs from %s", alt, p.PAM)
 		}
 		pams = append(pams, ap)
 	}
@@ -283,19 +316,66 @@ func prepare(guides []dna.Pattern, p *Params) (arch.Engine, *report.Resolver, er
 	}
 	engine, err := NewEngine(p.Engine, specs, *p)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Install the recorder before any test hook wraps the engine: a
-	// fault-injection wrapper must not hide the Instrumented interface.
+	// Install the recorder and the charge before any test hook wraps the
+	// engine: a fault-injection wrapper must not hide the Instrumented or
+	// Modeled interfaces.
 	arch.SetMetrics(engine, p.Metrics)
+	charge := newModeledCharge(engine, p.Metrics)
 	if engineHook != nil {
 		engine = engineHook(engine)
 	}
 	resolver, err := report.NewResolverOriented(guides, p.PAM5, pams...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return engine, resolver, nil
+	return &prepared{engine: engine, resolver: resolver, charge: charge}, nil
+}
+
+// modeledCharge prices a modeled platform's scans; it is the one place
+// modeled device time is charged. The one-time compile step is recorded
+// when the charge is created, and every completed chromosome adds the
+// model's breakdown for that chromosome's length and event count, both
+// to the recorder and to the total that becomes Stats.Modeled. A nil
+// charge (a measured engine) charges nothing.
+type modeledCharge struct {
+	model arch.Modeled
+	rec   *metrics.Recorder
+	total arch.Breakdown
+}
+
+func newModeledCharge(e arch.Engine, rec *metrics.Recorder) *modeledCharge {
+	m, ok := e.(arch.Modeled)
+	if !ok {
+		return nil
+	}
+	compile := m.EstimateBreakdown(0, 0).Compile
+	rec.SetModeledSeconds("compile", compile)
+	return &modeledCharge{model: m, rec: rec, total: arch.Breakdown{Compile: compile}}
+}
+
+// chrom charges one completed chromosome of inputLen bases that
+// produced events match events.
+func (c *modeledCharge) chrom(inputLen, events int) {
+	if c == nil {
+		return
+	}
+	b := c.model.EstimateBreakdown(inputLen, events)
+	c.rec.AddModeledSeconds("transfer", b.Transfer)
+	c.rec.AddModeledSeconds("kernel", b.Kernel)
+	c.rec.AddModeledSeconds("report", b.Report)
+	b.Compile = 0
+	c.total = c.total.Add(b)
+}
+
+// stamp sets the charged total and the device resources on st.
+func (c *modeledCharge) stamp(st *Stats) {
+	if c == nil {
+		return
+	}
+	b, r := c.total, c.model.Resources()
+	st.Modeled, st.Resources = &b, &r
 }
 
 // Search runs the full pipeline and returns verified, deduplicated,
@@ -315,11 +395,12 @@ func Search(g *genome.Genome, guides []dna.Pattern, p Params) (*Result, error) {
 func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, p Params) (*Result, error) {
 	swCompile := metrics.NewStopwatch()
 	endCompile := p.Metrics.TraceSpan("compile")
-	engine, resolver, err := prepare(guides, &p)
+	pre, err := prepare(guides, &p)
 	endCompile()
 	if err != nil {
 		return nil, err
 	}
+	engine := pre.engine
 	rec := p.Metrics
 	rec.AddPhaseNanos(metrics.PhaseCompile, swCompile.ElapsedNanos())
 	offset := 0
@@ -333,7 +414,7 @@ func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, 
 			return nil, err
 		}
 	}
-	col := report.NewCollector(resolver)
+	col := report.NewCollector(pre.resolver)
 	prog := p.Progress
 	if prog.TotalBytes() == 0 {
 		// In-memory searches know the exact denominator (after region
@@ -357,6 +438,7 @@ func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, 
 			Sites: sites,
 			Stats: Stats{Engine: engine.Name(), ElapsedSec: start.Seconds(), Events: events, BytesScanned: bytesScanned},
 		}
+		pre.charge.stamp(&res.Stats)
 		res.Stats.Metrics = rec.Snapshot()
 		return res, scanErr
 	}
@@ -370,11 +452,12 @@ func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, 
 		// chromosome's verify share is measured per event and subtracted
 		// from the scan stopwatch to get the pure prefilter time.
 		var verifyNs int64
+		chromEvents := 0
 		prog.StartChrom(c.Name, int64(len(c.Seq)))
 		endSpan := rec.TraceSpan("scan " + c.Name)
 		swScan := metrics.NewStopwatch()
 		err := scanChromSafe(ctx, engine, c, func(r automata.Report) {
-			events++
+			chromEvents++
 			t0 := metrics.Now()
 			if e := col.Add(c, r); e != nil && addErr == nil {
 				addErr = e
@@ -383,6 +466,7 @@ func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, 
 		})
 		scanNs := swScan.ElapsedNanos()
 		endSpan()
+		events += chromEvents
 		if err == nil {
 			err = addErr
 		}
@@ -391,6 +475,7 @@ func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, 
 		}
 		rec.AddPhaseNanos(metrics.PhaseVerify, verifyNs)
 		rec.AddPhaseNanos(metrics.PhasePrefilter, scanNs-verifyNs)
+		pre.charge.chrom(len(c.Seq), chromEvents)
 		// Bytes are counted here, per completed chromosome — never per
 		// chunk, where overlap regions would double-count (see the
 		// accounting regression tests).
@@ -399,14 +484,7 @@ func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, 
 		prog.FinishChrom(c.Name)
 	}
 	prog.Finish()
-	res, _ := partial(nil)
-	if m, ok := engine.(arch.Modeled); ok {
-		b := m.EstimateBreakdown(g.TotalLen(), events)
-		r := m.Resources()
-		res.Stats.Modeled = &b
-		res.Stats.Resources = &r
-	}
-	return res, nil
+	return partial(nil)
 }
 
 // scanChromSafe dispatches one chromosome scan through the ctx-aware

@@ -10,9 +10,10 @@ import (
 
 // TestSoakLargeScale is the paper-shaped end-to-end run in miniature:
 // a 2 Mbp genome, 50 sampled guides at full length (20nt + NGG), k=4,
-// three engines cross-checked, and planted ground truth at every
-// mismatch level up to the budget. Guarded by -short so quick edit
-// cycles skip it.
+// six engines cross-checked at Workers 4 (the three NFA platforms among
+// them, through the shared chunked kernel), and planted ground truth at
+// every mismatch level up to the budget. Guarded by -short so quick
+// edit cycles skip it.
 func TestSoakLargeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -34,7 +35,7 @@ func TestSoakLargeScale(t *testing.T) {
 	}
 
 	var ref []report.Site
-	for _, kind := range []EngineKind{EngineHyperscan, EngineHyperscanBitap, EngineCasOffinder} {
+	for _, kind := range []EngineKind{EngineHyperscan, EngineHyperscanBitap, EngineCasOffinder, EngineAP, EngineFPGA, EngineInfant} {
 		res, err := Search(g, guides, Params{MaxMismatches: 4, Engine: kind, Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/fasta"
@@ -46,13 +45,12 @@ func SearchStream(r io.Reader, guides []dna.Pattern, p Params, yield func(report
 // SearchGenomeStreamContext (resident genome) share it, so both drivers
 // produce byte-identical output for the same reference.
 type streamScan struct {
-	engine   arch.Engine
-	resolver *report.Resolver
-	mrec     *metrics.Recorder
-	prog     *metrics.Progress
-	ctrl     *StreamControl
-	yield    func(report.Site) error
-	stats    *Stats
+	*prepared
+	mrec  *metrics.Recorder
+	prog  *metrics.Progress
+	ctrl  *StreamControl
+	yield func(report.Site) error
+	stats *Stats
 }
 
 // newStreamScan compiles the engine and resolver for a streaming-shaped
@@ -67,7 +65,7 @@ func newStreamScan(guides []dna.Pattern, p *Params, ctrl *StreamControl, yield f
 	}
 	swCompile := metrics.NewStopwatch()
 	endCompile := p.Metrics.TraceSpan("compile")
-	engine, resolver, err := prepare(guides, p)
+	pre, err := prepare(guides, p)
 	endCompile()
 	if err != nil {
 		return nil, err
@@ -75,14 +73,13 @@ func newStreamScan(guides []dna.Pattern, p *Params, ctrl *StreamControl, yield f
 	mrec := p.Metrics
 	mrec.AddPhaseNanos(metrics.PhaseCompile, swCompile.ElapsedNanos())
 	return &streamScan{
-		engine:   engine,
-		resolver: resolver,
+		prepared: pre,
 		mrec:     mrec,
 		prog:     p.Progress,
 		ctrl:     ctrl,
 		yield:    yield,
 		//crisprlint:allow statsdiscipline accumulated across methods: Events in chrom, BytesScanned/ElapsedSec in finish
-		stats: &Stats{Engine: engine.Name()},
+		stats: &Stats{Engine: pre.engine.Name()},
 	}, nil
 }
 
@@ -97,10 +94,11 @@ func (s *streamScan) chrom(ctx context.Context, chrom *genome.Chromosome) error 
 	// Per-event resolution time is measured inline and subtracted
 	// from the scan stopwatch, as in SearchContext.
 	var verifyNs int64
+	events := 0
 	endSpan := s.mrec.TraceSpan("scan " + chrom.Name)
 	swScan := metrics.NewStopwatch()
 	err := scanChromSafe(ctx, s.engine, chrom, func(ev automata.Report) {
-		s.stats.Events++
+		events++
 		t0 := metrics.Now()
 		if e := col.Add(chrom, ev); e != nil && addErr == nil {
 			addErr = e
@@ -109,6 +107,7 @@ func (s *streamScan) chrom(ctx context.Context, chrom *genome.Chromosome) error 
 	})
 	scanNs := swScan.ElapsedNanos()
 	endSpan()
+	s.stats.Events += events
 	if err == nil {
 		err = addErr
 	}
@@ -117,6 +116,7 @@ func (s *streamScan) chrom(ctx context.Context, chrom *genome.Chromosome) error 
 	}
 	s.mrec.AddPhaseNanos(metrics.PhaseVerify, verifyNs)
 	s.mrec.AddPhaseNanos(metrics.PhasePrefilter, scanNs-verifyNs)
+	s.charge.chrom(len(chrom.Seq), events)
 	// Bytes count once per completed chromosome (never per chunk,
 	// where overlap would double-count).
 	s.stats.BytesScanned += len(chrom.Seq)
@@ -143,6 +143,7 @@ func (s *streamScan) chrom(ctx context.Context, chrom *genome.Chromosome) error 
 // finish stamps elapsed time and the metrics snapshot onto the stats.
 func (s *streamScan) finish(start metrics.Stopwatch, streamErr error) (*Stats, error) {
 	s.stats.ElapsedSec = start.Seconds()
+	s.charge.stamp(s.stats)
 	s.stats.Metrics = s.mrec.Snapshot()
 	return s.stats, streamErr
 }

@@ -8,18 +8,13 @@
 // the part REAPR-class overlays were published on.
 //
 // As with the AP, the hardware is substituted (DESIGN.md): functional
-// behavior comes from the shared NFA simulator, timing from the clocked
+// behavior comes from the shared NFA kernel (arch.NFAEngine), timing from the clocked
 // analytic model — which is faithful because a spatial automata pipeline
 // has data-independent throughput.
 package fpga
 
 import (
-	"fmt"
-
 	"github.com/cap-repro/crisprscan/internal/arch"
-	"github.com/cap-repro/crisprscan/internal/automata"
-	"github.com/cap-repro/crisprscan/internal/genome"
-	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // Device holds the FPGA part and board constants.
@@ -70,71 +65,39 @@ type Options struct {
 	Stride2 bool
 }
 
-// Model is a compiled workload on the FPGA overlay.
+// Model is a compiled workload on the FPGA overlay: the shared NFA
+// kernel executes the mapped network, and the model adds fabric
+// mapping and timing.
 type Model struct {
+	*arch.NFAEngine
 	opt            Options
-	nfa            *automata.NFA
 	res            arch.ResourceUsage
 	streams        int
 	symbolsPerBase float64
-
-	// rec receives scan metrics; the model records analytic device-time
-	// steps only (no wall clock — see the clockguard analyzer).
-	rec *metrics.Recorder
-}
-
-// SetMetrics implements arch.Instrumented. The one-time synthesis cost
-// is recorded immediately as the modeled compile step.
-func (m *Model) SetMetrics(rec *metrics.Recorder) {
-	m.rec = rec
-	rec.SetModeledSeconds("compile", m.EstimateBreakdown(0, 0).Compile)
 }
 
 // Compile builds and maps the automata network.
 func Compile(specs []arch.PatternSpec, opt Options) (*Model, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("fpga: no patterns")
-	}
 	if opt.Device.LUTs == 0 {
 		opt.Device = KU115
 	}
-	var parts []*automata.NFA
-	for _, spec := range specs {
-		n, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
-			MaxMismatches: spec.K, PAM: spec.PAM, PAMLeft: spec.PAMLeft, Code: spec.Code,
-		})
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, n)
+	name, symbolsPerBase := "fpga", 1.0
+	if opt.Stride2 {
+		name, symbolsPerBase = "fpga-stride2", 0.5
 	}
-	u, err := automata.UnionAll("fpga", parts)
+	k, err := arch.NewNFAEngine(name, specs, arch.NetworkOptions{Merge: opt.MergeStates, Stride2: opt.Stride2})
 	if err != nil {
 		return nil, err
 	}
-	if opt.MergeStates {
-		u, _ = automata.MergeEquivalent(u)
-	}
-	m := &Model{opt: opt, symbolsPerBase: 1}
-	m.nfa = u
-	if opt.Stride2 {
-		s2, err := automata.Multistride2(u)
-		if err != nil {
-			return nil, err
-		}
-		if opt.MergeStates {
-			s2, _ = automata.MergeEquivalent(s2)
-		}
-		m.nfa = s2
-		m.symbolsPerBase = 0.5
-	}
+	m := &Model{NFAEngine: k, opt: opt, symbolsPerBase: symbolsPerBase}
 	m.place()
 	return m, nil
 }
 
 func (m *Model) place() {
 	dev := m.opt.Device
-	states := m.nfa.ComputeStats().States
+	stats := m.NFA().ComputeStats()
+	states := stats.States
 	usable := int(float64(dev.LUTs) * dev.UsableFraction)
 	lutsPerCopy := int(float64(states) * dev.LUTsPerState)
 	passes := 1
@@ -155,16 +118,8 @@ func (m *Model) place() {
 		States:       states,
 		Capacity:     int(float64(usable) / dev.LUTsPerState),
 		Passes:       passes,
-		ReportStates: m.nfa.ComputeStats().ReportStates,
+		ReportStates: stats.ReportStates,
 	}
-}
-
-// Name implements arch.Engine.
-func (m *Model) Name() string {
-	if m.opt.Stride2 {
-		return "fpga-stride2"
-	}
-	return "fpga"
 }
 
 // Resources implements arch.Modeled.
@@ -173,36 +128,9 @@ func (m *Model) Resources() arch.ResourceUsage { return m.res }
 // Streams reports the achieved replication factor.
 func (m *Model) Streams() int { return m.streams }
 
-// NFA exposes the mapped network.
-func (m *Model) NFA() *automata.NFA { return m.nfa }
-
 // LUTsUsed reports the fabric demand of one design copy.
 func (m *Model) LUTsUsed() int {
 	return int(float64(m.res.States) * m.opt.Device.LUTsPerState)
-}
-
-// ScanChrom implements arch.Engine (functional path).
-func (m *Model) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	sim := automata.NewSim(m.nfa)
-	in := automata.SymbolsOfSeq(c.Seq)
-	reports := 0
-	count := func(r automata.Report) {
-		reports++
-		emit(r)
-	}
-	if m.opt.Stride2 {
-		automata.ScanStride2(sim, in, count)
-	} else {
-		sim.Scan(in, count)
-	}
-	if m.rec != nil {
-		m.rec.Add(metrics.CounterCandidateWindows, int64(len(c.Seq)))
-		b := m.EstimateBreakdown(len(c.Seq), reports)
-		m.rec.AddModeledSeconds("transfer", b.Transfer)
-		m.rec.AddModeledSeconds("kernel", b.Kernel)
-		m.rec.AddModeledSeconds("report", b.Report)
-	}
-	return nil
 }
 
 // EstimateBreakdown implements arch.Modeled.

@@ -25,6 +25,8 @@ func randSpecs(rng *rand.Rand, n, m, k int) []arch.PatternSpec {
 	return specs
 }
 
+// TestFunctionalAgreesWithHscan checks that the network the fpga model
+// compiles reports exactly what hscan reports.
 func TestFunctionalAgreesWithHscan(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	specs := randSpecs(rng, 3, 8, 2)
@@ -59,7 +61,7 @@ func TestFunctionalAgreesWithHscan(t *testing.T) {
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("report %d differs", i)
+				t.Fatalf("opt %+v report %d differs", opt, i)
 			}
 		}
 	}

@@ -15,8 +15,9 @@ import (
 )
 
 // parallelModes are the modes that fan chunks out across workers and
-// therefore exercise arch.ChunkScan's cancellation and panic paths.
-var parallelModes = []Mode{ModeBitap, ModeNFA, ModeDFA, ModePrefilter}
+// therefore exercise arch.ChunkScan's cancellation and panic paths (the
+// NFA path is arch.NFAEngine, tested in arch).
+var parallelModes = []Mode{ModeBitap, ModeDFA, ModePrefilter}
 
 func sortReports(rs []automata.Report) {
 	sort.Slice(rs, func(i, j int) bool {

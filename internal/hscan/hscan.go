@@ -3,10 +3,11 @@
 // path is a bit-parallel simulation of the mismatch automaton (the
 // Wu–Manber/bitap formulation, one 64-bit word per mismatch row, which is
 // exactly the Hamming-lattice NFA evaluated breadth-first in registers),
-// with alternative NFA-bitset and DFA-table paths selectable for
-// comparison. It executes for real and is wall-clock measured; the paper
-// measured single-thread HyperScan, and this engine is likewise
-// single-threaded unless Parallelism > 1.
+// with alternative DFA-table paths selectable for comparison (the
+// NFA-bitset path is the shared arch.NFAEngine). It executes for real
+// and is wall-clock measured; the paper measured single-thread
+// HyperScan, and this engine is likewise single-threaded unless
+// Parallelism > 1.
 package hscan
 
 import (
@@ -29,9 +30,6 @@ const (
 	// ModeBitap is the register-resident bit-parallel mismatch automaton
 	// run unanchored over the whole input, one pass per pattern.
 	ModeBitap Mode = iota
-	// ModeNFA runs the shared bitset NFA simulator over the merged
-	// automata network.
-	ModeNFA
 	// ModeDFA determinizes each pattern and runs table-driven scans.
 	ModeDFA
 	// ModeLazyDFA determinizes the union automaton on the fly with a
@@ -60,8 +58,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeBitap:
 		return "bitap"
-	case ModeNFA:
-		return "nfa"
 	case ModeDFA:
 		return "dfa"
 	case ModeLazyDFA:
@@ -99,9 +95,6 @@ type Engine struct {
 	// scanned by worker goroutines. The default of 1 mirrors the paper's
 	// single-thread HyperScan measurements.
 	Parallelism int
-
-	// NFA path state.
-	nfa *automata.NFA
 
 	// DFA path state.
 	dfas []*dfa.DFA
@@ -170,23 +163,6 @@ func New(specs []PatternSpec, mode Mode) (*Engine, error) {
 		if err := e.buildPrefilter(specs); err != nil {
 			return nil, err
 		}
-	case ModeNFA:
-		var parts []*automata.NFA
-		for _, spec := range specs {
-			n, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
-				MaxMismatches: spec.K, PAM: spec.PAM, PAMLeft: spec.PAMLeft, Code: spec.Code,
-			})
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, n)
-		}
-		u, err := automata.UnionAll("hscan", parts)
-		if err != nil {
-			return nil, err
-		}
-		merged, _ := automata.MergeEquivalent(u)
-		e.nfa = merged
 	case ModeDFA:
 		for _, spec := range specs {
 			n, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
@@ -202,21 +178,10 @@ func New(specs []PatternSpec, mode Mode) (*Engine, error) {
 			e.dfas = append(e.dfas, dfa.Minimize(d))
 		}
 	case ModeLazyDFA:
-		var parts []*automata.NFA
-		for _, spec := range specs {
-			n, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
-				MaxMismatches: spec.K, PAM: spec.PAM, PAMLeft: spec.PAMLeft, Code: spec.Code,
-			})
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, n)
-		}
-		u, err := automata.UnionAll("hscan", parts)
+		merged, err := arch.CompileNetwork(specs, arch.NetworkOptions{Merge: true})
 		if err != nil {
 			return nil, err
 		}
-		merged, _ := automata.MergeEquivalent(u)
 		lz, err := dfa.NewLazy(merged, 0)
 		if err != nil {
 			return nil, err
@@ -324,13 +289,6 @@ func (e *Engine) scanRange(seq dna.Seq, base int, emit func(automata.Report)) er
 			e.scanBitap(seq, base, emit)
 		}
 		return nil
-	case ModeNFA:
-		sim := automata.NewSim(e.nfa)
-		sim.Scan(automata.SymbolsOfSeq(seq), func(r automata.Report) {
-			r.End += base
-			emit(r)
-		})
-		return nil
 	case ModeDFA:
 		in := automata.SymbolsOfSeq(seq)
 		for _, d := range e.dfas {
@@ -414,7 +372,7 @@ func (e *Engine) scanParallel(ctx context.Context, chrom string, seq dna.Seq, em
 			if elo < 0 {
 				elo = 0
 			}
-			// scanRange's emit contract is shared by four execution modes,
+			// scanRange's emit contract is shared by three execution modes,
 			// so the ownership filter stays a closure here: one allocation
 			// per 64K-position chunk, not per position.
 			//crisprlint:allow hotpath one filter closure per chunk; scanRange's emit signature is shared across modes
@@ -436,14 +394,6 @@ func (e *Engine) scanParallel(ctx context.Context, chrom string, seq dna.Seq, em
 		}
 	}
 	return nil
-}
-
-// NFAStats exposes the merged network's statistics (ModeNFA only).
-func (e *Engine) NFAStats() (automata.Stats, bool) {
-	if e.nfa == nil {
-		return automata.Stats{}, false
-	}
-	return e.nfa.ComputeStats(), true
 }
 
 // DFAStates returns total DFA states across patterns (ModeDFA only).

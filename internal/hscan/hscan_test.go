@@ -114,7 +114,7 @@ func TestModesAgree(t *testing.T) {
 	specs := randSpecs(rng, 4, 8, 2)
 	c := chromOf(rng, 6000, 0.02)
 	var results [][]automata.Report
-	for _, mode := range []Mode{ModeBitap, ModeNFA, ModeDFA} {
+	for _, mode := range []Mode{ModeBitap, ModeDFA} {
 		e, err := New(specs, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -124,8 +124,8 @@ func TestModesAgree(t *testing.T) {
 	if len(results[0]) == 0 {
 		t.Fatal("fixture produced no matches; weak test")
 	}
-	if !equal(results[0], results[1]) || !equal(results[0], results[2]) {
-		t.Fatalf("modes disagree: bitap=%d nfa=%d dfa=%d", len(results[0]), len(results[1]), len(results[2]))
+	if !equal(results[0], results[1]) {
+		t.Fatalf("modes disagree: bitap=%d dfa=%d", len(results[0]), len(results[1]))
 	}
 }
 
@@ -229,21 +229,14 @@ func TestStatsAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	specs := randSpecs(rng, 2, 6, 1)
 	b, _ := New(specs, ModeBitap)
-	if _, ok := b.NFAStats(); ok {
-		t.Error("bitap engine must not report NFA stats")
-	}
 	if _, ok := b.DFAStates(); ok {
 		t.Error("bitap engine must not report DFA states")
-	}
-	nf, _ := New(specs, ModeNFA)
-	if st, ok := nf.NFAStats(); !ok || st.States == 0 {
-		t.Error("NFA stats missing")
 	}
 	df, _ := New(specs, ModeDFA)
 	if n, ok := df.DFAStates(); !ok || n == 0 {
 		t.Error("DFA states missing")
 	}
-	if b.Name() != "hyperscan-bitap" || nf.Name() != "hyperscan-nfa" {
-		t.Errorf("names: %s / %s", b.Name(), nf.Name())
+	if b.Name() != "hyperscan-bitap" || df.Name() != "hyperscan-dfa" {
+		t.Errorf("names: %s / %s", b.Name(), df.Name())
 	}
 }

@@ -11,7 +11,7 @@
 // guide active at all times, and the frontier work dwarfs the symbol
 // rate. Multiple thread blocks scan independent input slices.
 //
-// Functional behavior comes from the shared NFA simulator; timing comes
+// Functional behavior comes from the shared NFA kernel; timing comes
 // from the cost model below, whose per-transition and per-symbol
 // constants are set so a small-frontier workload approaches published
 // iNFAnt2 throughput (~1 Gbps-class on a mid-2010s discrete GPU) and
@@ -20,14 +20,11 @@
 package infant
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
-	"github.com/cap-repro/crisprscan/internal/genome"
-	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // Device holds the GPU model constants.
@@ -52,7 +49,8 @@ type Device struct {
 	SampleLen int
 }
 
-// DefaultGPU approximates the paper's discrete GPU.
+// DefaultGPU approximates the paper's discrete GPU; every model costs
+// its scans on it.
 var DefaultGPU = Device{
 	Blocks:              96,
 	SymbolOverheadSec:   120e-9,
@@ -65,64 +63,34 @@ var DefaultGPU = Device{
 
 // Options controls compilation.
 type Options struct {
-	Device Device
 	// MergeStates merges equivalent states before building transition
 	// lists (shrinks the frontier).
 	MergeStates bool
-	// SampleSeed seeds the synthetic sample used to estimate frontier
-	// size.
-	SampleSeed int64
 }
 
-// Model is a compiled workload on the GPU NFA engine.
+// sampleSeed seeds the synthetic sample used to estimate frontier size.
+const sampleSeed = 1
+
+// Model is a compiled workload on the GPU NFA engine: the shared NFA
+// kernel executes the automaton, and the model costs the frontier work
+// on DefaultGPU.
 type Model struct {
-	opt Options
-	nfa *automata.NFA
+	*arch.NFAEngine
 	// avgActive is the measured mean frontier size (active states per
 	// symbol) on the calibration sample.
 	avgActive float64
 	// avgFanout is the mean out-degree, converting frontier size to
 	// transition-list work.
 	avgFanout float64
-
-	// rec receives scan metrics; the model records analytic device-time
-	// steps only (no wall clock — see the clockguard analyzer).
-	rec *metrics.Recorder
-}
-
-// SetMetrics implements arch.Instrumented. The one-time transition
-// table build/upload cost is recorded as the modeled compile step.
-func (m *Model) SetMetrics(rec *metrics.Recorder) {
-	m.rec = rec
-	rec.SetModeledSeconds("compile", m.EstimateBreakdown(0, 0).Compile)
 }
 
 // Compile builds the union automaton and measures its frontier.
 func Compile(specs []arch.PatternSpec, opt Options) (*Model, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("infant: no patterns")
-	}
-	if opt.Device.Blocks == 0 {
-		opt.Device = DefaultGPU
-	}
-	var parts []*automata.NFA
-	for _, spec := range specs {
-		n, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
-			MaxMismatches: spec.K, PAM: spec.PAM, PAMLeft: spec.PAMLeft, Code: spec.Code,
-		})
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, n)
-	}
-	u, err := automata.UnionAll("infant", parts)
+	k, err := arch.NewNFAEngine("infant2", specs, arch.NetworkOptions{Merge: opt.MergeStates})
 	if err != nil {
 		return nil, err
 	}
-	if opt.MergeStates {
-		u, _ = automata.MergeEquivalent(u)
-	}
-	m := &Model{opt: opt, nfa: u}
+	m := &Model{NFAEngine: k}
 	m.measureFrontier()
 	return m, nil
 }
@@ -130,19 +98,18 @@ func Compile(specs []arch.PatternSpec, opt Options) (*Model, error) {
 // measureFrontier simulates a seeded uniform-random sample and records
 // the mean active-state count and fanout.
 func (m *Model) measureFrontier() {
-	dev := m.opt.Device
-	rng := rand.New(rand.NewSource(m.opt.SampleSeed + 1))
-	sample := make([]uint8, dev.SampleLen)
+	rng := rand.New(rand.NewSource(sampleSeed))
+	sample := make([]uint8, DefaultGPU.SampleLen)
 	for i := range sample {
 		sample[i] = uint8(rng.Intn(dna.AlphabetSize))
 	}
-	trace := automata.NewSim(m.nfa).ActivityTrace(sample)
+	trace := automata.NewSim(m.NFA()).ActivityTrace(sample)
 	total := 0
 	for _, c := range trace {
 		total += c
 	}
 	m.avgActive = float64(total) / float64(len(trace))
-	stats := m.nfa.ComputeStats()
+	stats := m.NFA().ComputeStats()
 	if stats.States > 0 {
 		m.avgFanout = float64(stats.Edges) / float64(stats.States)
 	}
@@ -151,41 +118,18 @@ func (m *Model) measureFrontier() {
 	}
 }
 
-// Name implements arch.Engine.
-func (m *Model) Name() string { return "infant2" }
-
 // AvgFrontier reports the measured mean active-state count (E-series
 // tables use it to explain the GPU's poor fit).
 func (m *Model) AvgFrontier() float64 { return m.avgActive }
-
-// NFA exposes the compiled automaton.
-func (m *Model) NFA() *automata.NFA { return m.nfa }
 
 // Resources implements arch.Modeled; the transition table is memory,
 // not fabric, so spatial usage is empty.
 func (m *Model) Resources() arch.ResourceUsage { return arch.ResourceUsage{} }
 
-// ScanChrom implements arch.Engine (functional path).
-func (m *Model) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	reports := 0
-	automata.NewSim(m.nfa).Scan(automata.SymbolsOfSeq(c.Seq), func(r automata.Report) {
-		reports++
-		emit(r)
-	})
-	if m.rec != nil {
-		m.rec.Add(metrics.CounterCandidateWindows, int64(len(c.Seq)))
-		b := m.EstimateBreakdown(len(c.Seq), reports)
-		m.rec.AddModeledSeconds("transfer", b.Transfer)
-		m.rec.AddModeledSeconds("kernel", b.Kernel)
-		m.rec.AddModeledSeconds("report", b.Report)
-	}
-	return nil
-}
-
 // EstimateBreakdown implements arch.Modeled: per-block fixed symbol
 // cost (the serialization term) plus aggregate transition work.
 func (m *Model) EstimateBreakdown(inputLen, reportCount int) arch.Breakdown {
-	dev := m.opt.Device
+	dev := DefaultGPU
 	symbolsPerBlock := float64(inputLen) / float64(dev.Blocks)
 	serial := symbolsPerBlock * dev.SymbolOverheadSec
 	transitions := float64(inputLen) * m.avgActive * m.avgFanout

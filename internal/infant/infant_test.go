@@ -25,6 +25,8 @@ func randSpecs(rng *rand.Rand, n, m, k int) []arch.PatternSpec {
 	return specs
 }
 
+// TestFunctionalAgreesWithHscan checks that the network the infant model
+// compiles reports exactly what hscan reports.
 func TestFunctionalAgreesWithHscan(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	specs := randSpecs(rng, 3, 8, 2)
@@ -33,32 +35,34 @@ func TestFunctionalAgreesWithHscan(t *testing.T) {
 		seq[i] = dna.Base(rng.Intn(4))
 	}
 	c := &genome.Chromosome{Name: "t", Seq: seq, Packed: dna.Pack(seq)}
-	m, err := Compile(specs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs, _ := hscan.New(specs, hscan.ModeBitap)
-	var a, b []automata.Report
-	if err := m.ScanChrom(c, func(r automata.Report) { a = append(a, r) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := hs.ScanChrom(c, func(r automata.Report) { b = append(b, r) }); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range [][]automata.Report{a, b} {
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].End != s[j].End {
-				return s[i].End < s[j].End
+	for _, opt := range []Options{{}, {MergeStates: true}} {
+		m, err := Compile(specs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs, _ := hscan.New(specs, hscan.ModeBitap)
+		var a, b []automata.Report
+		if err := m.ScanChrom(c, func(r automata.Report) { a = append(a, r) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := hs.ScanChrom(c, func(r automata.Report) { b = append(b, r) }); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range [][]automata.Report{a, b} {
+			sort.Slice(s, func(i, j int) bool {
+				if s[i].End != s[j].End {
+					return s[i].End < s[j].End
+				}
+				return s[i].Code < s[j].Code
+			})
+		}
+		if len(a) == 0 || len(a) != len(b) {
+			t.Fatalf("opt %+v: infant %d vs hscan %d", opt, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("opt %+v report %d differs", opt, i)
 			}
-			return s[i].Code < s[j].Code
-		})
-	}
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("infant %d vs hscan %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("report %d differs", i)
 		}
 	}
 }

@@ -163,8 +163,8 @@ type Recorder struct {
 	// completions advance it only while non-nil.
 	progress *Progress
 
-	// modeled holds the analytic device-time entries the accelerator
-	// models record (seconds, keyed by model step).
+	// modeled holds the analytic device-time entries the orchestrator
+	// charges for modeled platforms (seconds, keyed by model step).
 	mu      sync.Mutex
 	modeled map[string]float64 // guarded by mu
 }

@@ -86,32 +86,6 @@ func TestReadBaselineRejectsBadSchema(t *testing.T) {
 	}
 }
 
-func TestReadBaselineLegacyAllocFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ALLOC_BASELINE.txt")
-	legacy := LegacyAllocHeader + "\n" +
-		"# a comment\n" +
-		"example.com/m/k (*E).Scan.func: func literal escapes to heap\n" +
-		"example.com/m/k (*E).Scan.func: func literal escapes to heap\n" +
-		"example.com/m/k (*E).Scan: make([]bool, n) escapes to heap\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.GoVersion != "" {
-		t.Fatalf("legacy baseline carries no toolchain pin, got %q", b.GoVersion)
-	}
-	want := []Entry{
-		{Class: ClassEscape, Pkg: "example.com/m/k", Func: "(*E).Scan", Message: "make([]bool, n) escapes to heap", Count: 1},
-		{Class: ClassEscape, Pkg: "example.com/m/k", Func: "(*E).Scan.func", Message: "func literal escapes to heap", Count: 2},
-	}
-	if !reflect.DeepEqual(b.Entries, want) {
-		t.Fatalf("legacy conversion:\n got %+v\nwant %+v", b.Entries, want)
-	}
-}
-
 func TestDiffCountsAsBudgets(t *testing.T) {
 	base := &Baseline{Entries: []Entry{
 		{Class: ClassBounds, Pkg: "p", Func: "F", Message: "Found IsInBounds", Count: 2, Justification: "x"},
