@@ -19,7 +19,6 @@ import (
 	"github.com/cap-repro/crisprscan/internal/bench"
 	"github.com/cap-repro/crisprscan/internal/core"
 	"github.com/cap-repro/crisprscan/internal/dfa"
-	"github.com/cap-repro/crisprscan/internal/hscan"
 )
 
 // benchScale keeps the in-test E-series fast; benchtab runs the real
@@ -122,24 +121,6 @@ func BenchmarkEngineHyperscanPrefilterG1000(b *testing.B) {
 func BenchmarkNFASimulation(b *testing.B) {
 	w := bench.NewWorkload(200_000, 5, 3, 101)
 	e, err := core.NewEngine(core.EngineHyperscanNFA, w.Specs(), core.Params{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(w.Genome.TotalLen()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for ci := range w.Genome.Chroms {
-			if err := e.ScanChrom(&w.Genome.Chroms[ci], func(automata.Report) {}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkDFAScan measures the table-driven DFA path on one guide.
-func BenchmarkDFAScan(b *testing.B) {
-	w := bench.NewWorkload(1_000_000, 1, 2, 102)
-	e, err := hscan.New(w.Specs(), hscan.ModeDFA)
 	if err != nil {
 		b.Fatal(err)
 	}

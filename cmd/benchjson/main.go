@@ -7,7 +7,8 @@
 //
 // With -compare it additionally joins the fresh run against a baseline
 // report and exits nonzero when any matrix cell regressed past the
-// threshold (default 15% slower):
+// threshold (default 15% slower). Baseline cells the run no longer
+// measures are printed as DROPPED; they do not change the exit code:
 //
 //	benchjson -scale test -o BENCH_4.json -compare BENCH_4.json
 //
@@ -84,6 +85,9 @@ func run() error {
 	}
 
 	if baseline != nil {
+		for _, key := range bench.Dropped(baseline, rep) {
+			fmt.Fprintf(os.Stderr, "DROPPED %s: in %s, not measured by this run\n", key, *compare)
+		}
 		regs := bench.Compare(baseline, rep, bench.CompareOptions{
 			Threshold: *threshold, MinSeconds: *minSeconds,
 		})

@@ -111,15 +111,10 @@ const (
 	// EngineHyperscan is the measured CPU automata engine (default),
 	// using the literal-prefilter hybrid path.
 	EngineHyperscan = core.EngineHyperscan
-	// EngineHyperscanBitap / EngineHyperscanNFA / EngineHyperscanDFA
-	// select its pure-bitap, bitset-NFA and table-DFA execution paths.
+	// EngineHyperscanBitap / EngineHyperscanNFA select its pure-bitap
+	// and bitset-NFA execution paths.
 	EngineHyperscanBitap = core.EngineHyperscanBitap
 	EngineHyperscanNFA   = core.EngineHyperscanNFA
-	EngineHyperscanDFA   = core.EngineHyperscanDFA
-	// EngineHyperscanLazy runs the on-the-fly subset construction
-	// (lazy DFA) execution path: DFA-speed scanning without the
-	// up-front determinization cost on large pattern sets.
-	EngineHyperscanLazy = core.EngineHyperscanLazy
 	// EngineCasOffinder is the brute-force baseline (measured, CPU);
 	// EngineCasOffinderGPU adds the analytic GPU timing model.
 	EngineCasOffinder    = core.EngineCasOffinder

@@ -259,7 +259,7 @@ func (o *CompareOptions) defaults() {
 // Compare joins two reports by matrix-cell key and returns the cells of
 // cur that regressed past the threshold relative to base. Cells present
 // in only one report are ignored (the matrix may legitimately grow or
-// shrink between trajectory points).
+// shrink between trajectory points); Dropped lists the baseline's.
 func Compare(base, cur *BenchReport, opt CompareOptions) []Regression {
 	opt.defaults()
 	old := make(map[string]*BenchEntry, len(base.Entries))
@@ -280,4 +280,22 @@ func Compare(base, cur *BenchReport, opt CompareOptions) []Regression {
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].Ratio > regs[j].Ratio })
 	return regs
+}
+
+// Dropped returns, sorted, the keys of base cells that cur no longer
+// measures (a retired engine or a renamed cell). Compare cannot gate
+// them, so callers print them rather than let them pass silently.
+func Dropped(base, cur *BenchReport) []string {
+	have := make(map[string]bool, len(cur.Entries))
+	for i := range cur.Entries {
+		have[cur.Entries[i].Key()] = true
+	}
+	var gone []string
+	for i := range base.Entries {
+		if k := base.Entries[i].Key(); !have[k] {
+			gone = append(gone, k)
+		}
+	}
+	sort.Strings(gone)
+	return gone
 }

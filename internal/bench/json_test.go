@@ -179,4 +179,8 @@ func TestCompareNoiseFloorAndMissingCells(t *testing.T) {
 	if regs := Compare(base, cur, CompareOptions{MinSeconds: -1}); len(regs) != 1 {
 		t.Fatalf("floor disabled: got %+v", regs)
 	}
+	// The cell cur no longer measures is listed, not silently passed.
+	if got := Dropped(base, cur); len(got) != 1 || got[0] != "gone/n1000/g2/k2" {
+		t.Fatalf("Dropped = %v, want [gone/n1000/g2/k2]", got)
+	}
 }

@@ -32,12 +32,10 @@ const (
 	// EngineHyperscan is the measured CPU automata engine, using the
 	// HyperScan-style literal-prefilter hybrid path.
 	EngineHyperscan EngineKind = "hyperscan"
-	// EngineHyperscanBitap, EngineHyperscanNFA and EngineHyperscanDFA
-	// select its alternative execution paths.
+	// EngineHyperscanBitap and EngineHyperscanNFA select its
+	// alternative execution paths.
 	EngineHyperscanBitap EngineKind = "hyperscan-bitap"
 	EngineHyperscanNFA   EngineKind = "hyperscan-nfa"
-	EngineHyperscanDFA   EngineKind = "hyperscan-dfa"
-	EngineHyperscanLazy  EngineKind = "hyperscan-lazydfa"
 	// EngineCasOffinder is the measured CPU form of the brute-force
 	// baseline; EngineCasOffinderGPU adds the analytic GPU timing model.
 	EngineCasOffinder    EngineKind = "cas-offinder"
@@ -60,8 +58,7 @@ const (
 
 // AllEngines lists every selectable engine kind.
 var AllEngines = []EngineKind{
-	EngineHyperscan, EngineHyperscanBitap, EngineHyperscanNFA, EngineHyperscanDFA,
-	EngineHyperscanLazy,
+	EngineHyperscan, EngineHyperscanBitap, EngineHyperscanNFA,
 	EngineCasOffinder, EngineCasOffinderGPU,
 	EngineCasOT, EngineCasOTIndex,
 	EngineSeedIndex,
@@ -194,15 +191,10 @@ func BuildSpecsOriented(guides []dna.Pattern, pam dna.Pattern, k int, plusOnly, 
 // NewEngine instantiates the requested engine for the spec set.
 func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine, error) {
 	switch kind {
-	case EngineHyperscan, EngineHyperscanBitap, EngineHyperscanDFA, EngineHyperscanLazy:
+	case EngineHyperscan, EngineHyperscanBitap:
 		mode := hscan.ModePrefilter
-		switch kind {
-		case EngineHyperscanBitap:
+		if kind == EngineHyperscanBitap {
 			mode = hscan.ModeBitap
-		case EngineHyperscanDFA:
-			mode = hscan.ModeDFA
-		case EngineHyperscanLazy:
-			mode = hscan.ModeLazyDFA
 		}
 		e, err := hscan.New(specs, mode)
 		if err != nil {

@@ -126,8 +126,11 @@ func TestSearchParamErrors(t *testing.T) {
 	if _, err := Search(g, guides, Params{PAM: "XYZ"}); err == nil {
 		t.Error("bad PAM must error")
 	}
-	if _, err := Search(g, guides, Params{Engine: "warp-drive"}); err == nil {
-		t.Error("unknown engine must error")
+	// The retired determinized engines are unknown kinds, not aliases.
+	for _, kind := range []EngineKind{"warp-drive", "hyperscan-dfa", "hyperscan-lazydfa"} {
+		if _, err := Search(g, guides, Params{Engine: kind}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("engine %q: want an unknown-engine error, got %v", kind, err)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 	pairs := [][2]EngineKind{
 		{EngineHyperscan, EngineCasOT},
 		{EngineHyperscanBitap, EngineCasOffinder},
-		{EngineHyperscanLazy, EngineAP},
+		{EngineSeedIndex, EngineAP},
 		{EngineCasOTIndex, EngineFPGA},
 	}
 	f := func(seed int64, kRaw, guideRaw, pamRaw, pairRaw uint8) bool {

@@ -1,9 +1,12 @@
 // Package dfa determinizes homogeneous NFAs and minimizes the result.
-// Deterministic automata are how high-performance CPU automata libraries
+// Deterministic automata are how some CPU automata libraries
 // (HyperScan's McClellan engines, and classic tools like RE2) execute
 // small pattern sets: one table lookup per input byte, no active-set
-// bookkeeping. The E1 characterization table reports DFA sizes next to
-// NFA/STE counts, and internal/hscan can select a DFA execution path.
+// bookkeeping. Every platform in the study runs the mismatch automaton
+// as an NFA; this package exists for the E1 characterization table,
+// which reports minimal DFA sizes next to NFA/STE counts to show the
+// determinization blow-up. Scan is the tests' check that subset
+// construction and minimization preserve the NFA's language.
 package dfa
 
 import (
@@ -149,24 +152,16 @@ func FromNFA(n *automata.NFA, opt BuildOptions) (*DFA, error) {
 
 // Scan runs the DFA over input and emits a report for every code
 // attached to each entered state.
-//
-//crisprlint:hotpath
 func (d *DFA) Scan(input []uint8, emit func(automata.Report)) {
 	cur := d.Start
 	alpha := int32(d.Alphabet)
-	// Locals for the step tables: emit is an opaque call, so without the
-	// hoist the compiler reloads d.Trans and d.Reports from d after
-	// every reporting state.
-	empty := d.Empty
-	trans := d.Trans
-	reports := d.Reports
 	for t, sym := range input {
 		if int32(sym) >= alpha {
-			cur = empty
+			cur = d.Empty
 			continue
 		}
-		cur = trans[cur*alpha+int32(sym)]
-		for _, code := range reports[cur] {
+		cur = d.Trans[cur*alpha+int32(sym)]
+		for _, code := range d.Reports[cur] {
 			emit(automata.Report{Code: code, End: t})
 		}
 	}

@@ -72,10 +72,11 @@ func (e *Engine) buildPackedBitap() bool {
 	return true
 }
 
-// scanBitapPacked is scanBitap with two lanes per word.
+// scanBitapPacked is scanBitap with two lanes per word (same base, own
+// and out contract).
 //
 //crisprlint:hotpath
-func (e *Engine) scanBitapPacked(seq dna.Seq, base int, emit func(automata.Report)) {
+func (e *Engine) scanBitapPacked(seq dna.Seq, base, own int, out *[]automata.Report) {
 	var rows [maxBitapK + 1]uint64
 	for pi := range e.packed {
 		p := &e.packed[pi]
@@ -105,12 +106,14 @@ func (e *Engine) scanBitapPacked(seq dna.Seq, base int, emit func(automata.Repor
 				prev = cur
 				hit |= rows[j]
 			}
-			if hit&accept != 0 {
+			if hit&accept != 0 && base+t >= own {
 				if hit&p.accL[0] != 0 {
-					emit(automata.Report{Code: p.code[0], End: base + t})
+					//crisprlint:allow hotpath match reports are rare relative to positions; the batch grows amortized
+					*out = append(*out, automata.Report{Code: p.code[0], End: base + t})
 				}
 				if hit&p.accL[1] != 0 {
-					emit(automata.Report{Code: p.code[1], End: base + t})
+					//crisprlint:allow hotpath match reports are rare relative to positions; the batch grows amortized
+					*out = append(*out, automata.Report{Code: p.code[1], End: base + t})
 				}
 			}
 		}

@@ -22,8 +22,8 @@ func TestPackedBitapMatchesScalar(t *testing.T) {
 			t.Fatalf("trial %d: uniform-geometry patterns should pack", trial)
 		}
 		var packed, scalar []automata.Report
-		e.scanBitapPacked(c.Seq, 0, func(r automata.Report) { packed = append(packed, r) })
-		e.scanBitap(c.Seq, 0, func(r automata.Report) { scalar = append(scalar, r) })
+		e.scanBitapPacked(c.Seq, 0, 0, &packed)
+		e.scanBitap(c.Seq, 0, 0, &scalar)
 		sortEm := func(s []automata.Report) {
 			for i := 1; i < len(s); i++ {
 				for j := i; j > 0 && (s[j].End < s[j-1].End || (s[j].End == s[j-1].End && s[j].Code < s[j-1].Code)); j-- {

@@ -14,10 +14,10 @@ import (
 	"github.com/cap-repro/crisprscan/internal/automata"
 )
 
-// parallelModes are the modes that fan chunks out across workers and
-// therefore exercise arch.ChunkScan's cancellation and panic paths (the
-// NFA path is arch.NFAEngine, tested in arch).
-var parallelModes = []Mode{ModeBitap, ModeDFA, ModePrefilter}
+// parallelModes are hscan's modes; both fan chunks out across workers
+// and therefore exercise arch.ChunkScan's cancellation and panic paths
+// (the NFA path is arch.NFAEngine, tested in arch).
+var parallelModes = []Mode{ModeBitap, ModePrefilter}
 
 func sortReports(rs []automata.Report) {
 	sort.Slice(rs, func(i, j int) bool {
@@ -111,7 +111,7 @@ func TestScanChromContextPreCanceled(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	specs := randSpecs(rng, 2, 20, 1)
 	c := chromOf(rng, 4096, 0)
-	for _, mode := range []Mode{ModeBitap, ModeLazyDFA, ModePrefilter} {
+	for _, mode := range parallelModes {
 		e, err := New(specs, mode)
 		if err != nil {
 			t.Fatal(err)

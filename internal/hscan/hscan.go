@@ -1,13 +1,15 @@
 // Package hscan is the study's CPU automata engine — the stand-in for
 // Intel HyperScan. Like HyperScan it is a hybrid: the default execution
-// path is a bit-parallel simulation of the mismatch automaton (the
+// path (ModePrefilter) finds PAM literals first and confirms each
+// candidate with the anchored mismatch automaton evaluated bit-parallel.
+// ModeBitap runs the same automaton unanchored over the whole input (the
 // Wu–Manber/bitap formulation, one 64-bit word per mismatch row, which is
-// exactly the Hamming-lattice NFA evaluated breadth-first in registers),
-// with alternative DFA-table paths selectable for comparison (the
-// NFA-bitset path is the shared arch.NFAEngine). It executes for real
-// and is wall-clock measured; the paper measured single-thread
-// HyperScan, and this engine is likewise single-threaded unless
-// Parallelism > 1.
+// exactly the Hamming-lattice NFA evaluated breadth-first in registers)
+// and serves as the reference the other engines are checked against; the
+// NFA-bitset path is the shared arch.NFAEngine. Both modes execute for
+// real, are wall-clock measured, and honor cancellation between chunks;
+// the paper measured single-thread HyperScan, and this engine is
+// likewise single-threaded unless Parallelism > 1.
 package hscan
 
 import (
@@ -17,7 +19,6 @@ import (
 
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
-	"github.com/cap-repro/crisprscan/internal/dfa"
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/genome"
 	"github.com/cap-repro/crisprscan/internal/metrics"
@@ -30,13 +31,6 @@ const (
 	// ModeBitap is the register-resident bit-parallel mismatch automaton
 	// run unanchored over the whole input, one pass per pattern.
 	ModeBitap Mode = iota
-	// ModeDFA determinizes each pattern and runs table-driven scans.
-	ModeDFA
-	// ModeLazyDFA determinizes the union automaton on the fly with a
-	// bounded state cache (dfa.Lazy), the strategy real lazy-DFA engines
-	// use when full determinization explodes (E1: ~1e5 states/guide at
-	// k=5).
-	ModeLazyDFA
 	// ModePrefilter mirrors HyperScan's hybrid architecture: a shared
 	// literal prefilter (the PAM, the one literal every pattern
 	// contains) finds candidate anchors, and each candidate is confirmed
@@ -58,10 +52,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeBitap:
 		return "bitap"
-	case ModeDFA:
-		return "dfa"
-	case ModeLazyDFA:
-		return "lazydfa"
 	case ModePrefilter:
 		return "prefilter"
 	}
@@ -95,10 +85,6 @@ type Engine struct {
 	// scanned by worker goroutines. The default of 1 mirrors the paper's
 	// single-thread HyperScan measurements.
 	Parallelism int
-
-	// DFA path state.
-	dfas []*dfa.DFA
-	lazy *dfa.Lazy
 
 	// Prefilter path state: one group per (PAM, orientation).
 	preGroups []prefilterGroup
@@ -163,30 +149,6 @@ func New(specs []PatternSpec, mode Mode) (*Engine, error) {
 		if err := e.buildPrefilter(specs); err != nil {
 			return nil, err
 		}
-	case ModeDFA:
-		for _, spec := range specs {
-			n, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
-				MaxMismatches: spec.K, PAM: spec.PAM, PAMLeft: spec.PAMLeft, Code: spec.Code,
-			})
-			if err != nil {
-				return nil, err
-			}
-			d, err := dfa.FromNFA(n, dfa.BuildOptions{})
-			if err != nil {
-				return nil, err
-			}
-			e.dfas = append(e.dfas, dfa.Minimize(d))
-		}
-	case ModeLazyDFA:
-		merged, err := arch.CompileNetwork(specs, arch.NetworkOptions{Merge: true})
-		if err != nil {
-			return nil, err
-		}
-		lz, err := dfa.NewLazy(merged, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.lazy = lz
 	default:
 		return nil, fmt.Errorf("hscan: unknown mode %v", mode)
 	}
@@ -213,22 +175,11 @@ func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) err
 	return e.ScanChromContext(context.Background(), c, emit)
 }
 
-// ScanChromContext implements arch.ContextEngine: the scan honors ctx
-// at chunk granularity (arch.DefaultChunk positions) on every execution
-// path except the lazy DFA, whose shared mutable state cache forces a
-// serial whole-chromosome pass (ctx is still checked before it starts).
+// ScanChromContext implements arch.ContextEngine: both execution paths
+// honor ctx at chunk granularity (arch.DefaultChunk positions).
 func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	if e.mode == ModePrefilter {
 		return e.scanChromPrefilter(ctx, c, emit)
-	}
-	// The lazy DFA shares one mutable state cache, so it always scans
-	// serially.
-	if e.mode == ModeLazyDFA {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("hscan: scan of %s canceled: %w", c.Name, err)
-		}
-		e.rec.Add(metrics.CounterCandidateWindows, int64(len(c.Seq)))
-		return e.scanRange(c.Seq, 0, emit)
 	}
 	return e.scanParallel(ctx, c.Name, c.Seq, emit)
 }
@@ -279,42 +230,15 @@ func (e *Engine) scanChromPrefilter(ctx context.Context, c *genome.Chromosome, e
 	return nil
 }
 
-// scanRange scans seq, reporting End positions offset by base.
-func (e *Engine) scanRange(seq dna.Seq, base int, emit func(automata.Report)) error {
-	switch e.mode {
-	case ModeBitap:
-		if e.packed != nil {
-			e.scanBitapPacked(seq, base, emit)
-		} else {
-			e.scanBitap(seq, base, emit)
-		}
-		return nil
-	case ModeDFA:
-		in := automata.SymbolsOfSeq(seq)
-		for _, d := range e.dfas {
-			d.Scan(in, func(r automata.Report) {
-				r.End += base
-				emit(r)
-			})
-		}
-		return nil
-	case ModeLazyDFA:
-		e.lazy.Scan(automata.SymbolsOfSeq(seq), func(r automata.Report) {
-			r.End += base
-			emit(r)
-		})
-		return nil
-	}
-	return fmt.Errorf("hscan: unknown mode %v", e.mode)
-}
-
 // scanBitap runs the Wu–Manber rows. For every pattern, R[j] bit i means
 // "an alignment of the first i+1 pattern positions ends at the current
 // symbol with at most j mismatches". PAM positions are excluded from the
 // mismatch branch by subsMask, and ambiguous bases clear every row.
+// seq starts at genome position base; matches ending at or after own
+// (the chunk's first owned position) are appended to *out.
 //
 //crisprlint:hotpath
-func (e *Engine) scanBitap(seq dna.Seq, base int, emit func(automata.Report)) {
+func (e *Engine) scanBitap(seq dna.Seq, base, own int, out *[]automata.Report) {
 	var rows [maxBitapK + 1]uint64
 	for pi := range e.pats {
 		p := &e.pats[pi]
@@ -343,8 +267,9 @@ func (e *Engine) scanBitap(seq dna.Seq, base int, emit func(automata.Report)) {
 				prev = cur
 				hit |= rows[j]
 			}
-			if hit&accept != 0 {
-				emit(automata.Report{Code: p.code, End: base + t})
+			if hit&accept != 0 && base+t >= own {
+				//crisprlint:allow hotpath match reports are rare relative to positions; the batch grows amortized
+				*out = append(*out, automata.Report{Code: p.code, End: base + t})
 			}
 		}
 	}
@@ -353,9 +278,9 @@ func (e *Engine) scanBitap(seq dna.Seq, base int, emit func(automata.Report)) {
 // scanParallel drains the sequence through the arch.ChunkScan pool in
 // fixed-size chunks extended left by site-length overlap, deduping the
 // overlap region by ownership: a chunk only reports matches whose End
-// falls inside its own span. The pool supplies cancellation checks
-// between chunks and converts worker panics into errors naming the
-// chunk.
+// falls inside its own span (the kernels drop Ends before lo; none can
+// reach past hi). The pool supplies cancellation checks between chunks
+// and converts worker panics into errors naming the chunk.
 func (e *Engine) scanParallel(ctx context.Context, chrom string, seq dna.Seq, emit func(automata.Report)) error {
 	overlap := e.MaxSiteLen() - 1
 	chunk := arch.DefaultChunk
@@ -372,18 +297,14 @@ func (e *Engine) scanParallel(ctx context.Context, chrom string, seq dna.Seq, em
 			if elo < 0 {
 				elo = 0
 			}
-			// scanRange's emit contract is shared by three execution modes,
-			// so the ownership filter stays a closure here: one allocation
-			// per 64K-position chunk, not per position.
-			//crisprlint:allow hotpath one filter closure per chunk; scanRange's emit signature is shared across modes
-			err := e.scanRange(seq[elo:hi], elo, func(r automata.Report) {
-				if r.End >= lo && r.End < hi {
-					//crisprlint:allow hotpath match reports are rare relative to positions; the batch grows amortized
-					*out = append(*out, r)
-				}
-			})
+			in := seq[elo:hi]
+			if e.packed != nil {
+				e.scanBitapPacked(in, elo, lo, out)
+			} else {
+				e.scanBitap(in, elo, lo, out)
+			}
 			e.rec.Add(metrics.CounterCandidateWindows, int64(hi-lo))
-			return err
+			return nil
 		})
 	if err != nil {
 		return err
@@ -394,16 +315,4 @@ func (e *Engine) scanParallel(ctx context.Context, chrom string, seq dna.Seq, em
 		}
 	}
 	return nil
-}
-
-// DFAStates returns total DFA states across patterns (ModeDFA only).
-func (e *Engine) DFAStates() (int, bool) {
-	if e.dfas == nil {
-		return 0, false
-	}
-	total := 0
-	for _, d := range e.dfas {
-		total += d.NumStates()
-	}
-	return total, true
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/genome"
@@ -114,7 +115,7 @@ func TestModesAgree(t *testing.T) {
 	specs := randSpecs(rng, 4, 8, 2)
 	c := chromOf(rng, 6000, 0.02)
 	var results [][]automata.Report
-	for _, mode := range []Mode{ModeBitap, ModeDFA} {
+	for _, mode := range []Mode{ModeBitap, ModePrefilter} {
 		e, err := New(specs, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +126,7 @@ func TestModesAgree(t *testing.T) {
 		t.Fatal("fixture produced no matches; weak test")
 	}
 	if !equal(results[0], results[1]) {
-		t.Fatalf("modes disagree: bitap=%d dfa=%d", len(results[0]), len(results[1]))
+		t.Fatalf("modes disagree: bitap=%d prefilter=%d", len(results[0]), len(results[1]))
 	}
 }
 
@@ -167,6 +168,50 @@ func TestParallelEqualsSerial(t *testing.T) {
 	}
 	if !equal(a, b) {
 		t.Fatalf("parallel scan differs: %d vs %d", len(b), len(a))
+	}
+}
+
+// TestBitapChunkEdgesReportOnce plants, at every chunk boundary, a
+// short pattern's site ending just before it and a long pattern's site
+// ending just after it. Each chunk rescans an overlap as long as the
+// longest site, so a short site ending in that overlap is seen by both
+// chunks; only the ownership bound handed to the bitap kernel keeps it
+// from being reported twice.
+func TestBitapChunkEdgesReportOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	long, short := randSpecs(rng, 1, 20, 2)[0], randSpecs(rng, 1, 8, 1)[0]
+	short.Code = 1
+	specs := []PatternSpec{long, short}
+	c := chromOf(rng, 3*arch.DefaultChunk+100, 0)
+	plant := func(spec PatternSpec, end int) {
+		start := end - spec.SiteLen() + 1
+		for i, m := range spec.Window() {
+			base := dna.A
+			for !m.Has(base) {
+				base++
+			}
+			c.Seq[start+i] = base
+		}
+	}
+	planted := 0
+	for b := arch.DefaultChunk; b < len(c.Seq); b += arch.DefaultChunk {
+		plant(short, b-1)
+		plant(long, b+long.SiteLen()-1)
+		planted += 2
+	}
+	want := oracle(specs, c.Seq)
+	if len(want) < planted {
+		t.Fatalf("oracle finds %d reports, fewer than the %d planted", len(want), planted)
+	}
+	for _, workers := range []int{1, 3} {
+		e, err := New(specs, ModeBitap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Parallelism = workers
+		if got := collect(t, e, c); !equal(got, want) {
+			t.Fatalf("%d workers: %d reports, oracle %d", workers, len(got), len(want))
+		}
 	}
 }
 
@@ -229,14 +274,8 @@ func TestStatsAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	specs := randSpecs(rng, 2, 6, 1)
 	b, _ := New(specs, ModeBitap)
-	if _, ok := b.DFAStates(); ok {
-		t.Error("bitap engine must not report DFA states")
-	}
-	df, _ := New(specs, ModeDFA)
-	if n, ok := df.DFAStates(); !ok || n == 0 {
-		t.Error("DFA states missing")
-	}
-	if b.Name() != "hyperscan-bitap" || df.Name() != "hyperscan-dfa" {
-		t.Errorf("names: %s / %s", b.Name(), df.Name())
+	pf, _ := New(specs, ModePrefilter)
+	if b.Name() != "hyperscan-bitap" || pf.Name() != "hyperscan-prefilter" {
+		t.Errorf("names: %s / %s", b.Name(), pf.Name())
 	}
 }

@@ -171,6 +171,14 @@ func TestHTTPBackpressureAndErrors(t *testing.T) {
 	if resp, _ := postJob(t, srv.URL, "", JobSpec{K: 1}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no-guides spec = %d, want 400", resp.StatusCode)
 	}
+	// An engine outside the registry, retired ones included → 400.
+	for _, engine := range []string{"hyperscan-dfa", "warp-drive"} {
+		spec := oneGuide()
+		spec.Engine = engine
+		if resp, _ := postJob(t, srv.URL, "", spec); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("engine %q = %d, want 400", engine, resp.StatusCode)
+		}
+	}
 
 	// Fill the worker and the queue, then overload → 429 + Retry-After.
 	resp, first := postJob(t, srv.URL, "", oneGuide())

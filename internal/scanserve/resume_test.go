@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,5 +214,46 @@ func TestSeedIndexJobMatchesFullScan(t *testing.T) {
 	}
 	if !bytes.Equal(indexed, full) {
 		t.Fatal("seed-index job output differs from the full-scan artifact")
+	}
+}
+
+// TestRetiredEngineJobFailsPermanentlyOnRestart covers a job record
+// written by an older version that still accepted the engine it names:
+// after a restart the job runs through the production scan path, ends
+// failed with a permanent class, and spends none of its retry budget.
+func TestRetiredEngineJobFailsPermanentlyOnRestart(t *testing.T) {
+	genomePath, spec := scanFixture(t)
+	spec.Engine = "hyperscan-dfa"
+	dir := t.TempDir()
+	old := Job{ID: "j000001", Tenant: "default", Spec: spec, State: StateRunning, ResolvedGenome: genomePath, Attempts: 1}
+	data, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, old.ID), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, old.ID, jobRecordName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{Dir: dir, DefaultGenome: genomePath, QuotaRate: -1, MaxRetries: 3, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain(10 * time.Second)
+	final := waitTerminal(t, s, old.ID)
+	if final.State != StateFailed || final.ErrorClass != "permanent" {
+		t.Fatalf("job = %s/%s (err %q), want failed/permanent", final.State, final.ErrorClass, final.Error)
+	}
+	if !strings.Contains(final.Error, "unknown engine") {
+		t.Fatalf("error %q does not name the unknown engine", final.Error)
+	}
+	if final.Retries != 0 || final.Attempts != 2 {
+		t.Fatalf("attempts/retries = %d/%d, want 2/0 (one dispatch after restart, no retry)", final.Attempts, final.Retries)
+	}
+	if got := promText(t, s); !strings.Contains(got, "crisprscan_jobs_retried_total 0") {
+		t.Fatalf("metrics show retries for a retired engine:\n%s", got)
 	}
 }

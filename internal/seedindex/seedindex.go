@@ -143,13 +143,24 @@ func buildTable(seq dna.Seq, seedLen int) seedTable {
 	return t
 }
 
-// seqSHA canonicalizes and hashes a base-code sequence.
+// shaChunk is the size of seqSHA's streaming buffer.
+const shaChunk = 4096
+
+// seqSHA hashes a base-code sequence, one byte per base. It streams
+// the bytes through a fixed buffer, so the staleness guard costs no
+// chromosome-sized allocation per query.
 func seqSHA(seq dna.Seq) [32]byte {
-	buf := make([]byte, len(seq))
-	for i, b := range seq {
-		buf[i] = byte(b)
+	h := sha256.New()
+	var buf [shaChunk]byte
+	for len(seq) > 0 {
+		n := min(len(seq), len(buf))
+		for i, b := range seq[:n] {
+			buf[i] = byte(b)
+		}
+		h.Write(buf[:n]) // a hash.Hash Write never returns an error
+		seq = seq[n:]
 	}
-	return sha256.Sum256(buf)
+	return [32]byte(h.Sum(nil))
 }
 
 // Build constructs the full index for a genome. The result is

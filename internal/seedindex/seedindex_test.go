@@ -2,6 +2,7 @@ package seedindex
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
@@ -323,5 +324,27 @@ func TestEnumerateFragment(t *testing.T) {
 	}
 	if _, ok := enumerateFragment(frag, 2, 10); ok {
 		t.Fatal("cap not enforced")
+	}
+}
+
+// TestSeqSHAMatchesPlainCopy pins the streamed digest to the one-shot
+// SHA-256 of the sequence's byte copy (the value .csix files store), on
+// lengths around the streaming buffer with an N run straddling its edge.
+func TestSeqSHAMatchesPlainCopy(t *testing.T) {
+	for _, n := range []int{0, 1, shaChunk - 1, shaChunk, shaChunk + 1, 3*shaChunk + 17} {
+		seq := make(dna.Seq, n)
+		for i := range seq {
+			seq[i] = dna.Base((i * 7 / 3) % 4)
+		}
+		for i := shaChunk - 6; i < shaChunk+6 && i < n; i++ {
+			seq[i] = dna.BadBase
+		}
+		plain := make([]byte, n)
+		for i, b := range seq {
+			plain[i] = byte(b)
+		}
+		if got, want := seqSHA(seq), sha256.Sum256(plain); got != want {
+			t.Fatalf("len %d: streamed digest %x, plain copy %x", n, got, want)
+		}
 	}
 }
